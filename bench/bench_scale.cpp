@@ -12,8 +12,8 @@
 //   2. rebuilds each shard's local graph from its spill file, one shard at
 //      a time;
 //   3. spills deterministic per-user embeddings into a ShardEmbeddingStore
-//      one shard block at a time, then scores batches of sampled pairs
-//      through the store's bounded-LRU fault path.
+//      one shard block at a time, then scores batches of sampled pairs,
+//      gathering each batch's rows with one fetch per block it touches.
 // The score digest (CRC32 of the result floats) is independent of K by
 // construction; the parent enforces that as a built-in parity gate.
 //
@@ -85,7 +85,7 @@ struct PointResult {
   double generate_s = 0.0;     // stream-generate + spill edges
   double graph_build_s = 0.0;  // per-shard local graphs from spill files
   double store_spill_s = 0.0;  // embedding blocks to disk
-  double score_p50_ms = 0.0;   // per batch, through the LRU fault path
+  double score_p50_ms = 0.0;   // per batch, gathered through the store
   double resident_budget_mb = 0.0;
   double peak_rss_mb = 0.0;
   uint32_t digest = 0;
@@ -197,15 +197,18 @@ PointResult RunPoint(size_t users, int shards, size_t dim, int max_resident,
   result.graph_build_s = build_timer.ElapsedSeconds();
 
   // ---- Phase 3: embedding store, one block in RAM at a time. -------------
-  models::ShardEmbeddingStore store(sharding, dim, dir + "/emb", max_resident);
+  models::ShardEmbeddingStore store(sharding, dim,
+                                    models::PlanPrecision::kFloat32,
+                                    dir + "/emb", max_resident);
   Stopwatch spill_timer;
   for (int s = 0; s < shards; ++s) {
     const std::vector<int>& owned = sharding.UsersOf(s);
-    tensor::Matrix block(owned.size(), dim);
+    models::EmbeddingBlock block;
+    block.rows = tensor::Matrix(owned.size(), dim);
     for (size_t r = 0; r < owned.size(); ++r) {
-      FillEmbeddingRow(owned[r], dim, block.RowPtr(r));
+      FillEmbeddingRow(owned[r], dim, block.rows.RowPtr(r));
     }
-    AHNTP_CHECK_OK(store.SpillShard(s, block));
+    AHNTP_CHECK_OK(store.Put(s, std::move(block)));
   }
   result.store_spill_s = spill_timer.ElapsedSeconds();
   const size_t max_block_rows = (users + static_cast<size_t>(shards) - 1) /
@@ -215,25 +218,38 @@ PointResult RunPoint(size_t users, int shards, size_t dim, int max_resident,
       static_cast<double>(max_block_rows * dim * sizeof(float)) /
       (1024.0 * 1024.0);
 
-  // ---- Phase 4: score sampled pairs through the LRU fault path. ----------
-  std::vector<float> src_row(dim), dst_row(dim);
+  // ---- Phase 4: score sampled pairs, one store gather per batch. ---------
+  std::vector<int> endpoints;  // the batch's src users, then its dst users
+  std::vector<float*> rows;
+  tensor::Matrix src_rows, dst_rows;
   std::vector<double> batch_ms;
   uint32_t digest = 0;
   size_t scored = 0;
   Stopwatch batch_timer;
   while (scored < num_pairs) {
     batch_timer.Restart();
-    const size_t batch_end = std::min(num_pairs, scored + batch);
-    for (; scored < batch_end; ++scored) {
-      int src = static_cast<int>(HashMix(scored * 2) % users);
-      int dst = static_cast<int>(HashMix(scored * 2 + 1) % users);
-      AHNTP_CHECK_OK(store.CopyUserRow(src, src_row.data()));
-      AHNTP_CHECK_OK(store.CopyUserRow(dst, dst_row.data()));
+    const size_t n = std::min(num_pairs - scored, batch);
+    src_rows.ResetShape(n, dim);
+    dst_rows.ResetShape(n, dim);
+    endpoints.resize(2 * n);
+    rows.resize(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      endpoints[i] = static_cast<int>(HashMix((scored + i) * 2) % users);
+      endpoints[n + i] =
+          static_cast<int>(HashMix((scored + i) * 2 + 1) % users);
+      rows[i] = src_rows.RowPtr(i);
+      rows[n + i] = dst_rows.RowPtr(i);
+    }
+    AHNTP_CHECK_OK(store.Gather(endpoints, rows));
+    for (size_t i = 0; i < n; ++i) {
+      const float* src_row = src_rows.RowPtr(i);
+      const float* dst_row = dst_rows.RowPtr(i);
       float dot = 0.0f;
       for (size_t j = 0; j < dim; ++j) dot += src_row[j] * dst_row[j];
       float prob = 0.5f + 0.5f * dot / static_cast<float>(dim);
       digest = Crc32(&prob, sizeof(prob), digest);
     }
+    scored += n;
     batch_ms.push_back(batch_timer.ElapsedMillis());
   }
   std::sort(batch_ms.begin(), batch_ms.end());

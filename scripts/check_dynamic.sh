@@ -7,10 +7,8 @@
 #     so any thread-count divergence in the write lane fails the gate;
 #   - runs bench_dynamic and validates the BENCH_dynamic.json schema plus
 #     the >= 20x 1-edge plan-patch gate (also enforced by the bench's own
-#     exit code);
-#   - unless DYNAMIC_TSAN=0, re-runs dynamic_test under TSan (the write
-#     lane and the generation probe are the concurrency-sensitive
-#     surfaces).
+#     exit code).
+# dynamic_test also runs under TSan in scripts/check_tsan.sh.
 # Usage:
 #   scripts/check_dynamic.sh [build-dir]   (default: build)
 set -eu
@@ -84,18 +82,6 @@ else
   grep -q '"staleness_vs_latency"' "$workdir/BENCH_dynamic.json"
   grep -q 'gate: 1-edge plan patch speedup' "$workdir/stdout_bench.txt"
   echo "BENCH_dynamic.json looks structurally sound (no python3)"
-fi
-
-if [ "${DYNAMIC_TSAN:-1}" = "1" ]; then
-  echo "########## dynamic_test under TSan ##########"
-  tsan_dir="build-threadsan"
-  cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-        --target dynamic_test
-  AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-  "$tsan_dir/tests/dynamic_test"
 fi
 
 echo "dynamic checks passed"

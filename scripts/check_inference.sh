@@ -16,9 +16,9 @@
 #     scalar-vs-AVX2-vs-int8 kernel matrix) and the per-model AUC guard
 #     (|AUC(int8) - AUC(fp32)| <= 0.002), run twice — default ISA and
 #     pinned AHNTP_KERNEL_ISA=scalar — with a JSON schema check on
-#     BENCH_inference.json;
-#   - kernel_parity_test + inference_test under TSan: the dispatch atomics
-#     and per-predictor plans share no unsynchronized mutable state.
+#     BENCH_inference.json.
+# kernel_parity_test and inference_test also run under TSan in
+# scripts/check_tsan.sh.
 # Usage:
 #   scripts/check_inference.sh [build-dir]   (default: build)
 set -eu
@@ -98,18 +98,5 @@ with open(sys.argv[1]) as f:
 assert doc["kernel_isa"] == "scalar", doc["kernel_isa"]
 print("pinned-scalar run OK")
 EOF
-
-echo "########## kernel_parity_test + inference_test under TSan ##########"
-tsan_dir="build-threadsan"
-cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-      --target kernel_parity_test inference_test
-AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    "$tsan_dir/tests/kernel_parity_test"
-AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    "$tsan_dir/tests/inference_test"
 
 echo "compiled-inference checks passed"

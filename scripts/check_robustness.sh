@@ -14,9 +14,8 @@
 #     abstained-never-cached wave symmetry held;
 #   - bench_robustness at a reduced scale: BENCH_robustness.json schema
 #     and the abstain gate — served AUC must beat full AUC under at least
-#     2 attack presets (the bench exits non-zero when the gate fails);
-#   - robustness_test under TSan: the ensemble fans members out over the
-#     shared pool from the serving dispatcher.
+#     2 attack presets (the bench exits non-zero when the gate fails).
+# robustness_test also runs under TSan in scripts/check_tsan.sh.
 # Usage:
 #   scripts/check_robustness.sh [build-dir]   (default: build)
 set -eu
@@ -96,15 +95,5 @@ print(f'BENCH_robustness.json OK ({len(doc["table"])} table rows, '
       f'{len(doc["abstain_sweep"])} sweep rows, '
       f'{gates["passing_presets"]} presets recovered AUC)')
 EOF
-
-echo "########## robustness_test under TSan ##########"
-tsan_dir="build-threadsan"
-cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-      --target robustness_test
-AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    "$tsan_dir/tests/robustness_test"
 
 echo "robustness checks passed"

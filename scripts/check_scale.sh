@@ -9,9 +9,8 @@
 #     corruption detection);
 #   - bench_scale --quick: a small sweep whose cross-K score-digest CHECK is
 #     the sharded-vs-monolithic digest diff — the parent process aborts if
-#     any shard count changes a single output bit;
-#   - sharding_test under TSan: per-shard builders fan out on the shared
-#     pool; oversubscribed workers must come back clean.
+#     any shard count changes a single output bit.
+# sharding_test also runs under TSan in scripts/check_tsan.sh.
 # Usage:
 #   scripts/check_scale.sh [build-dir]   (default: build)
 set -eu
@@ -34,15 +33,5 @@ repo_root="$(pwd)"
 (cd "$workdir" && \
  "$repo_root/$build_dir/bench/bench_scale" \
      --users=2000,8000 --shards=1,4 --pairs=512)
-
-echo "########## sharding_test under TSan ##########"
-tsan_dir="build-threadsan"
-cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-      --target sharding_test
-AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    "$tsan_dir/tests/sharding_test"
 
 echo "scale checks passed"

@@ -11,10 +11,10 @@
 #     and recovered, degraded responses served, exactly one reload
 #     rejected, hot keys coalesced, repeat wave cache-absorbed);
 #   - the metrics sidecar carries the serve.* counter schema including
-#     the per-lane counters;
-#   - serve_test comes back clean under TSan (the queue/dispatcher
-#     hand-off is the concurrency-sensitive surface), and the hot-key
-#     overload mix runs clean under TSan too (via check_serve_load.sh).
+#     the per-lane counters.
+# serve_test and the hot-key overload mix run under TSan in
+# scripts/check_tsan.sh; the overload bench has its own gate,
+# scripts/check_serve_load.sh.
 # Usage:
 #   scripts/check_serve.sh [build-dir]   (default: build)
 set -eu
@@ -105,17 +105,5 @@ else
   grep -q '"serve.reload_failures"' "$workdir/metrics_t8.json"
   echo "summary and metrics sidecar look structurally sound (no python3)"
 fi
-
-echo "########## serve_test under TSan ##########"
-tsan_dir="build-threadsan"
-cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" --target serve_test
-AHNTP_THREADS="${AHNTP_THREADS:-8}" \
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    "$tsan_dir/tests/serve_test"
-
-echo "########## overload bench: schema, per-lane digests, TSan mix ##########"
-SERVE_LOAD_TSAN=1 scripts/check_serve_load.sh "$build_dir"
 
 echo "serving checks passed"

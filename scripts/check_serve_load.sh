@@ -9,10 +9,8 @@
 #     score bits, so any thread-count divergence in the overload-control
 #     machinery fails the gate;
 #   - checks the no-rejection-cliff acceptance (strict-lane shed <= 5%,
-#     also enforced by the bench's own exit code);
-#   - with SERVE_LOAD_TSAN=1, re-runs the mix at a small scale under TSan
-#     (the coalescing map + shared score cache are the new
-#     concurrency-sensitive surfaces).
+#     also enforced by the bench's own exit code).
+# A small fault-injected mix also runs under TSan in scripts/check_tsan.sh.
 # Usage:
 #   scripts/check_serve_load.sh [build-dir]   (default: build)
 set -eu
@@ -87,21 +85,5 @@ EOF
 }
 validate plain
 validate faults
-
-if [ "${SERVE_LOAD_TSAN:-0}" = "1" ]; then
-  echo "########## hot-key overload mix under TSan ##########"
-  tsan_dir="build-threadsan"
-  cmake -B "$tsan_dir" -S . -DAHNTP_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$tsan_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-        --target bench_serve_load
-  (cd "$workdir" &&
-   AHNTP_FAULTS='serve.infer@~0.75' \
-   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-   "$repo_root/$tsan_dir/bench/bench_serve_load" \
-       --scale=0.01 --fault_seed=42 --serve_queue_capacity=32 \
-       --strict_reserve=8 > stdout_tsan.txt)
-  echo "TSan hot-key mix clean"
-fi
 
 echo "serve load checks passed"

@@ -1,11 +1,22 @@
 #!/usr/bin/env bash
-# Builds the test suite with a sanitizer and runs the concurrency-sensitive
-# tests. Usage:
+# Builds the concurrency-sensitive binaries with a sanitizer into one tree
+# and runs them. The repo's only TSan stage: the other gate scripts leave
+# their sanitizer runs here. Usage:
 #   scripts/check_tsan.sh [thread|address]   (default: thread)
 #
-# TSan is the gate for the execution substrate (common/parallel.*): the
-# parallel tests plus the kernel suites that now dispatch to the pool must
-# come back clean before changes to the pool or the parallel kernels land.
+#   - parallel_test, matrix_test, csr_test, graph_test, core_test: the
+#     execution substrate (common/parallel.*) and the kernels dispatching
+#     to its pool;
+#   - kernel_parity_test, inference_test: the kernel dispatch atomics and
+#     the per-predictor inference plans;
+#   - sharding_test: per-shard builders fan out on the shared pool;
+#   - observability_test: metrics and trace rings written from workers;
+#   - serve_test: the queue/dispatcher hand-off;
+#   - robustness_test: the ensemble fans members out over the pool from
+#     the serving dispatcher;
+#   - dynamic_test: the write lane and the generation probe;
+#   - bench_serve_load, a small fault-injected hot-key mix: the coalescing
+#     map and the shared score cache under overload.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -15,12 +26,15 @@ case "$mode" in
   *) echo "usage: $0 [thread|address]" >&2; exit 2 ;;
 esac
 
+tests=(parallel_test matrix_test csr_test graph_test core_test
+       observability_test serve_test kernel_parity_test inference_test
+       sharding_test robustness_test dynamic_test)
+
 build_dir="build-${mode}san"
 cmake -B "$build_dir" -S . -DAHNTP_SANITIZE="$mode" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)" --target \
-      parallel_test matrix_test csr_test graph_test core_test \
-      observability_test serve_test
+      "${tests[@]}" bench_serve_load
 
 # Oversubscribe on purpose: more workers than cores shakes out ordering
 # bugs that a matched count can hide.
@@ -28,9 +42,18 @@ export AHNTP_THREADS="${AHNTP_THREADS:-8}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
 status=0
-for t in parallel_test matrix_test csr_test graph_test core_test \
-         observability_test serve_test; do
+for t in "${tests[@]}"; do
   echo "########## $t (AHNTP_SANITIZE=$mode, AHNTP_THREADS=$AHNTP_THREADS) ##########"
   "$build_dir/tests/$t" || status=$?
 done
+
+echo "########## bench_serve_load hot-key fault mix (AHNTP_SANITIZE=$mode) ##########"
+repo_root="$(pwd)"
+workdir="$(mktemp -d)"
+trap 'rm -rf "$workdir"' EXIT
+(cd "$workdir" &&
+ AHNTP_FAULTS='serve.infer@~0.75' \
+ "$repo_root/$build_dir/bench/bench_serve_load" \
+     --scale=0.01 --fault_seed=42 --serve_queue_capacity=32 \
+     --strict_reserve=8 > stdout_load.txt) || status=$?
 exit "$status"

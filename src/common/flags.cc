@@ -1,8 +1,5 @@
 #include "common/flags.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/fault.h"
@@ -118,13 +115,6 @@ std::vector<std::string> FlagParser::GetStringList(
 int ApplyRuntimeFlags(const FlagParser& flags) {
   const int threads = static_cast<int>(flags.GetInt("threads", 0));
   if (threads > 0) SetNumThreads(threads);
-  if (flags.Has("max_resident_shards")) {
-    const int64_t resident = flags.GetInt("max_resident_shards", 0);
-    AHNTP_CHECK_GE(resident, 1)
-        << "--max_resident_shards must be a positive shard count, got "
-        << resident;
-    SetMaxResidentShards(static_cast<int>(resident));
-  }
   if (flags.Has("kernel_isa")) {
     Result<KernelIsa> isa = ParseKernelIsa(flags.GetString("kernel_isa", ""));
     AHNTP_CHECK(isa.ok()) << "--kernel_isa: " << isa.status().ToString();
@@ -148,31 +138,6 @@ int ApplyRuntimeFlags(const FlagParser& flags) {
     trace::SetOutputPath(path);
   }
   return NumThreads();
-}
-
-namespace {
-
-/// 0 = unset (fall through to the environment / the default of 2).
-std::atomic<int> g_max_resident_shards{0};
-
-}  // namespace
-
-int MaxResidentShards() {
-  int configured = g_max_resident_shards.load(std::memory_order_relaxed);
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("AHNTP_MAX_RESIDENT_SHARDS")) {
-    auto parsed = ParseInt(env);
-    AHNTP_CHECK(parsed.ok() && parsed.value() >= 1)
-        << "AHNTP_MAX_RESIDENT_SHARDS must be a positive shard count, got '"
-        << env << "'";
-    return static_cast<int>(parsed.value());
-  }
-  return 2;
-}
-
-void SetMaxResidentShards(int n) {
-  AHNTP_CHECK_GE(n, 1) << "resident-shard cap must be positive";
-  g_max_resident_shards.store(n, std::memory_order_relaxed);
 }
 
 }  // namespace ahntp

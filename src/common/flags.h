@@ -65,18 +65,6 @@ class FlagParser {
 /// contract as malformed typed flags).
 int ApplyRuntimeFlags(const FlagParser& flags);
 
-/// Process-wide cap on how many embedding shards a sharded inference plan
-/// (models::ShardedInferencePlan) keeps resident in RAM at once. Resolution
-/// order: the last SetMaxResidentShards() call, else the
-/// AHNTP_MAX_RESIDENT_SHARDS environment variable, else 2. Always >= 1; a
-/// non-positive or unparseable environment value aborts via CHECK (operator
-/// error, same contract as malformed typed flags). `--max_resident_shards=N`
-/// in ApplyRuntimeFlags routes here.
-int MaxResidentShards();
-
-/// Sets the resident-shard cap; n must be >= 1 (CHECK).
-void SetMaxResidentShards(int n);
-
 }  // namespace ahntp
 
 #endif  // AHNTP_COMMON_FLAGS_H_

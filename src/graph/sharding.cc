@@ -73,6 +73,12 @@ Result<UserSharding> UserSharding::Create(size_t num_users,
       }
     }
   }
+  sharding.row_of_.resize(num_users);
+  for (const std::vector<int>& owned : sharding.users_) {
+    for (size_t r = 0; r < owned.size(); ++r) {
+      sharding.row_of_[static_cast<size_t>(owned[r])] = static_cast<int>(r);
+    }
+  }
   return sharding;
 }
 
@@ -84,6 +90,11 @@ int UserSharding::ShardOf(int user) const {
 const std::vector<int>& UserSharding::UsersOf(int shard) const {
   AHNTP_CHECK(shard >= 0 && shard < num_shards());
   return users_[static_cast<size_t>(shard)];
+}
+
+int UserSharding::RowOf(int user) const {
+  AHNTP_CHECK(user >= 0 && static_cast<size_t>(user) < num_users_);
+  return row_of_[static_cast<size_t>(user)];
 }
 
 int ShardSubgraph::LocalId(int global) const {

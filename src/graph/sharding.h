@@ -57,10 +57,15 @@ class UserSharding {
   /// Owned users of `shard`, ascending. Precondition: shard in [0, K).
   const std::vector<int>& UsersOf(int shard) const;
 
+  /// Position of `user` within UsersOf(ShardOf(user)): its row in the
+  /// shard's embedding block. Precondition: user in [0, num_users).
+  int RowOf(int user) const;
+
  private:
   ShardingOptions options_;
   size_t num_users_ = 0;
   std::vector<int> shard_of_;            // per user
+  std::vector<int> row_of_;              // per user, index into users_[s]
   std::vector<std::vector<int>> users_;  // per shard, ascending
 };
 

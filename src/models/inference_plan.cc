@@ -12,7 +12,6 @@
 
 #include "common/check.h"
 #include "common/fileio.h"
-#include "common/flags.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -24,9 +23,7 @@ namespace ahntp::models {
 
 namespace {
 
-/// The tape-equivalent scoring chain from gathered tower inputs. Shared by
-/// InferencePlan and ShardedInferencePlan so their kernel sequences cannot
-/// drift: identical inputs give bit-identical probabilities on both paths.
+/// The tape-equivalent scoring chain from gathered tower inputs.
 std::vector<float> RunScoringChain(const TrustPredictor& predictor,
                                    tensor::Workspace* ws,
                                    const tensor::Matrix& src_emb,
@@ -66,13 +63,13 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Deterministic inverted dropout over gathered embedding rows. The mask
-/// for element j of user u on tower side `role` is a pure function of
-/// (seed, u, role, j): batch position, duplicate occurrences of a user,
-/// and shard layout all see the same mask, which is what makes the
-/// MC-dropout scores identical across the monolithic and sharded plans.
-void ApplyInputDropout(tensor::Matrix* emb, const std::vector<int>& users,
-                       int role, float rate, uint64_t seed) {
+/// Deterministic inverted dropout over gathered embedding rows; `users[i]`
+/// owns row i. The mask for element j of user u on tower side `role` is a
+/// pure function of (seed, u, role, j): batch position, duplicate
+/// occurrences of a user, and shard layout all see the same mask, which
+/// is what makes the MC-dropout scores identical at any shard count.
+void ApplyInputDropout(tensor::Matrix* emb, const int* users, int role,
+                       float rate, uint64_t seed) {
   AHNTP_CHECK(rate > 0.0f && rate < 1.0f)
       << "dropout rate must lie in (0, 1), got " << rate;
   const float inv_keep = 1.0f / (1.0f - rate);
@@ -98,57 +95,6 @@ void RecordWorkspaceBytes(const tensor::Workspace& ws) {
   }
 }
 
-}  // namespace
-
-const char* PlanPrecisionName(PlanPrecision precision) {
-  switch (precision) {
-    case PlanPrecision::kFloat32:
-      return "fp32";
-    case PlanPrecision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-InferencePlan::InferencePlan(TrustPredictor* predictor)
-    : predictor_(predictor) {
-  AHNTP_CHECK(predictor_ != nullptr);
-}
-
-void InferencePlan::EnsureBuilt() {
-  if (built_) {
-    AHNTP_METRIC_COUNT("infer.cache_hits", 1);
-    return;
-  }
-  AHNTP_METRIC_COUNT("infer.cache_misses", 1);
-  AHNTP_METRIC_COUNT("infer.plan_builds", 1);
-  // The all-user encode needs per-layer buffers far larger than the scoring
-  // chain; a throwaway arena keeps that storage from lingering in ws_.
-  tensor::Workspace encode_ws;
-  embeddings_ = predictor_->encoder().InferUsers(&encode_ws);
-  if (precision_ == PlanPrecision::kInt8) {
-    if (has_external_calib_) {
-      Status st = tensor::ValidateCalibration(calib_, embeddings_.rows());
-      AHNTP_CHECK(st.ok()) << st.ToString();
-    } else {
-      // Self-calibration over the encoder's own activations (the embedding
-      // table is exactly what flows into the scoring towers).
-      auto calib = tensor::CalibrateRowAbsmax(embeddings_);
-      AHNTP_CHECK(calib.ok())
-          << "int8 calibration failed: " << calib.status().ToString();
-      calib_ = std::move(calib).value();
-    }
-    qembeddings_ = tensor::QuantizedMatrix::Quantize(embeddings_, calib_);
-    embeddings_ = tensor::Matrix();  // the fp32 table is dead weight now
-    AHNTP_METRIC_COUNT("infer.quantized_builds", 1);
-  } else {
-    qembeddings_ = tensor::QuantizedMatrix();
-  }
-  built_ = true;
-}
-
-namespace {
-
 /// Absmax of one fresh embedding row for self-calibrated int8 patching —
 /// the per-row slice of CalibrateRowAbsmax, same finiteness contract.
 Result<float> RowAbsmax(const float* row, size_t cols, int user) {
@@ -164,129 +110,9 @@ Result<float> RowAbsmax(const float* row, size_t cols, int user) {
   return best;
 }
 
-}  // namespace
-
-Status InferencePlan::RefreshRows(const std::vector<int>& users,
-                                  const tensor::Matrix& rows) {
-  AHNTP_CHECK_EQ(users.size(), rows.rows());
-  if (users.empty() || !built_) return Status::Ok();
-  trace::TraceSpan span("infer.plan_refresh");
-  const bool int8 = precision_ == PlanPrecision::kInt8;
-  const size_t table_rows = int8 ? qembeddings_.rows() : embeddings_.rows();
-  const size_t d = int8 ? qembeddings_.cols() : embeddings_.cols();
-  AHNTP_CHECK_EQ(rows.cols(), d);
-  for (size_t i = 0; i < users.size(); ++i) {
-    const int u = users[i];
-    AHNTP_CHECK(u >= 0 && static_cast<size_t>(u) < table_rows);
-    if (i > 0) {
-      AHNTP_CHECK_GT(u, users[i - 1]);
-    }
-  }
-  for (size_t i = 0; i < users.size(); ++i) {
-    const size_t u = static_cast<size_t>(users[i]);
-    const float* src = rows.RowPtr(i);
-    if (int8) {
-      float absmax = calib_.absmax[u];
-      if (!has_external_calib_) {
-        auto fresh = RowAbsmax(src, d, users[i]);
-        AHNTP_RETURN_IF_ERROR(fresh.status());
-        absmax = fresh.value();
-        calib_.absmax[u] = absmax;
-      }
-      qembeddings_.UpdateRow(u, src, absmax);
-    } else {
-      std::memcpy(embeddings_.RowPtr(u), src, d * sizeof(float));
-    }
-  }
-  AHNTP_METRIC_COUNT("infer.row_refreshes", users.size());
-  return Status::Ok();
-}
-
-void InferencePlan::SetPrecision(PlanPrecision precision) {
-  if (precision_ == precision) return;
-  precision_ = precision;
-  Invalidate();
-}
-
-Status InferencePlan::SetCalibration(tensor::RowCalibration calib) {
-  // Build first so the live table's row count is known for validation.
-  EnsureBuilt();
-  const size_t rows = precision_ == PlanPrecision::kInt8
-                          ? qembeddings_.rows()
-                          : embeddings_.rows();
-  AHNTP_RETURN_IF_ERROR(tensor::ValidateCalibration(calib, rows));
-  calib_ = std::move(calib);
-  has_external_calib_ = true;
-  Invalidate();  // recalibration requantizes at the next Score()
-  return Status::Ok();
-}
-
-size_t InferencePlan::embedding_bytes() const {
-  return precision_ == PlanPrecision::kInt8
-             ? qembeddings_.bytes()
-             : embeddings_.size() * sizeof(float);
-}
-
-std::vector<float> InferencePlan::Score(
-    const std::vector<data::TrustPair>& pairs) {
-  return ScoreImpl(pairs, -1.0f, 0);
-}
-
-std::vector<float> InferencePlan::ScoreWithInputDropout(
-    const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed) {
-  AHNTP_CHECK(rate > 0.0f && rate < 1.0f)
-      << "dropout rate must lie in (0, 1), got " << rate;
-  return ScoreImpl(pairs, rate, seed);
-}
-
-std::vector<float> InferencePlan::ScoreImpl(
-    const std::vector<data::TrustPair>& pairs, float dropout_rate,
-    uint64_t dropout_seed) {
-  AHNTP_CHECK(!pairs.empty());
-  EnsureBuilt();
-  ws_.Reset();
-  const size_t n = pairs.size();
-  src_idx_.clear();
-  dst_idx_.clear();
-  src_idx_.reserve(n);
-  dst_idx_.reserve(n);
-  for (const data::TrustPair& p : pairs) {
-    src_idx_.push_back(p.src);
-    dst_idx_.push_back(p.dst);
-  }
-
-  using tensor::Matrix;
-  const size_t d = precision_ == PlanPrecision::kInt8 ? qembeddings_.cols()
-                                                      : embeddings_.cols();
-  Matrix* src_emb = ws_.Acquire(n, d);
-  Matrix* dst_emb = ws_.Acquire(n, d);
-  if (precision_ == PlanPrecision::kInt8) {
-    qembeddings_.GatherDequantizeInto(src_emb, src_idx_);
-    qembeddings_.GatherDequantizeInto(dst_emb, dst_idx_);
-  } else {
-    tensor::GatherRowsInto(src_emb, embeddings_, src_idx_);
-    tensor::GatherRowsInto(dst_emb, embeddings_, dst_idx_);
-  }
-  if (dropout_rate > 0.0f) {
-    ApplyInputDropout(src_emb, src_idx_, /*role=*/0, dropout_rate,
-                      dropout_seed);
-    ApplyInputDropout(dst_emb, dst_idx_, /*role=*/1, dropout_rate,
-                      dropout_seed);
-  }
-  std::vector<float> out = RunScoringChain(*predictor_, &ws_, *src_emb, *dst_emb);
-  ws_.Reset();
-  RecordWorkspaceBytes(ws_);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardEmbeddingStore
-// ---------------------------------------------------------------------------
-
-namespace {
-
 constexpr uint32_t kBlockMagic = 0x42534841u;       // "AHSB" little-endian
 constexpr uint32_t kQuantBlockMagic = 0x51534841u;  // "AHSQ" little-endian
+constexpr size_t kHeaderBytes = 16;  // magic, shard, rows, cols
 
 void AppendU32(std::string* buf, uint32_t v) {
   char bytes[4];
@@ -302,383 +128,347 @@ uint32_t ReadU32(const char* p) {
 
 }  // namespace
 
+const char* PlanPrecisionName(PlanPrecision precision) {
+  switch (precision) {
+    case PlanPrecision::kFloat32:
+      return "fp32";
+    case PlanPrecision::kInt8:
+      return "int8";
+  }
+  return "unknown";
+}
+
+// ---------------------------------------------------------------------------
+// ShardEmbeddingStore
+// ---------------------------------------------------------------------------
+
 ShardEmbeddingStore::ShardEmbeddingStore(graph::UserSharding sharding,
-                                         size_t dim, std::string spill_dir,
-                                         int max_resident,
-                                         PlanPrecision precision)
+                                         size_t dim, PlanPrecision precision,
+                                         std::string spill_dir,
+                                         int max_resident)
     : sharding_(std::move(sharding)),
       dim_(dim),
+      precision_(precision),
       spill_dir_(std::move(spill_dir)),
-      max_resident_(max_resident),
-      precision_(precision) {
-  AHNTP_CHECK_GE(max_resident_, 1) << "resident-shard cap must be positive";
+      max_resident_(spill_dir_.empty() ? sharding_.num_shards()
+                                       : max_resident),
+      slots_(static_cast<size_t>(sharding_.num_shards())) {
+  AHNTP_CHECK_GE(max_resident, 1) << "resident-shard cap must be positive";
   AHNTP_CHECK_GT(dim_, 0u);
-  AHNTP_CHECK(!spill_dir_.empty()) << "shard store needs a spill directory";
 }
 
 std::string ShardEmbeddingStore::BlockPath(int shard) const {
   return spill_dir_ + "/shard_" + std::to_string(shard) + ".emb";
 }
 
-Status ShardEmbeddingStore::SpillShard(int shard, const tensor::Matrix& rows) {
-  trace::TraceSpan span("infer.shard.spill");
-  AHNTP_CHECK(precision_ == PlanPrecision::kFloat32)
-      << "float spill into an int8 store";
+Status ShardEmbeddingStore::CheckShard(int shard) const {
   if (shard < 0 || shard >= sharding_.num_shards()) {
     return Status::InvalidArgument(
         StrFormat("shard %d out of range for %d shards", shard,
                   sharding_.num_shards()));
   }
-  const std::vector<int>& owned = sharding_.UsersOf(shard);
-  if (rows.rows() != owned.size() || rows.cols() != dim_) {
-    return Status::InvalidArgument(StrFormat(
-        "shard %d block must be %zux%zu, got %zux%zu", shard, owned.size(),
-        dim_, rows.rows(), rows.cols()));
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(spill_dir_, ec);
-  if (ec) {
-    return Status::IoError("cannot create spill directory " + spill_dir_ +
-                           ": " + ec.message());
-  }
-  const size_t payload_bytes = rows.size() * sizeof(float);
-  std::string buf;
-  buf.reserve(16 + payload_bytes + 4);
-  AppendU32(&buf, kBlockMagic);
-  AppendU32(&buf, static_cast<uint32_t>(shard));
-  AppendU32(&buf, static_cast<uint32_t>(rows.rows()));
-  AppendU32(&buf, static_cast<uint32_t>(rows.cols()));
-  buf.append(reinterpret_cast<const char*>(rows.data()), payload_bytes);
-  AppendU32(&buf, Crc32(rows.data(), payload_bytes));
-  AHNTP_RETURN_IF_ERROR(WriteFileAtomic(BlockPath(shard), buf));
-  // The on-disk block is now the truth; a resident copy of the old
-  // generation must not serve.
-  auto it = resident_.find(shard);
-  if (it != resident_.end()) {
-    resident_.erase(it);
-    lru_.remove(shard);
-  }
   return Status::Ok();
 }
 
-Status ShardEmbeddingStore::SpillAll(const tensor::Matrix& embeddings) {
-  if (embeddings.rows() != sharding_.num_users() || embeddings.cols() != dim_) {
-    return Status::InvalidArgument(StrFormat(
-        "embedding table must be %zux%zu, got %zux%zu", sharding_.num_users(),
-        dim_, embeddings.rows(), embeddings.cols()));
-  }
-  for (int s = 0; s < sharding_.num_shards(); ++s) {
-    const std::vector<int>& owned = sharding_.UsersOf(s);
-    tensor::Matrix block(owned.size(), dim_);
-    for (size_t r = 0; r < owned.size(); ++r) {
-      std::memcpy(block.RowPtr(r),
-                  embeddings.RowPtr(static_cast<size_t>(owned[r])),
-                  dim_ * sizeof(float));
-    }
-    AHNTP_RETURN_IF_ERROR(SpillShard(s, block));
-  }
-  resident_.clear();
-  lru_.clear();
-  if (metrics::Enabled()) {
-    metrics::GetGauge("infer.shard_resident_bytes").Set(0.0);
-  }
-  return Status::Ok();
-}
-
-Status ShardEmbeddingStore::SpillQuantShard(int shard,
-                                            const tensor::QuantizedMatrix& rows) {
-  trace::TraceSpan span("infer.shard.spill");
-  AHNTP_CHECK(precision_ == PlanPrecision::kInt8)
-      << "int8 spill into a float store";
-  if (shard < 0 || shard >= sharding_.num_shards()) {
-    return Status::InvalidArgument(
-        StrFormat("shard %d out of range for %d shards", shard,
-                  sharding_.num_shards()));
-  }
-  const std::vector<int>& owned = sharding_.UsersOf(shard);
-  if (rows.rows() != owned.size() || rows.cols() != dim_) {
-    return Status::InvalidArgument(StrFormat(
-        "shard %d block must be %zux%zu, got %zux%zu", shard, owned.size(),
-        dim_, rows.rows(), rows.cols()));
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(spill_dir_, ec);
-  if (ec) {
-    return Status::IoError("cannot create spill directory " + spill_dir_ +
-                           ": " + ec.message());
-  }
-  // Layout: header | scales (rows x f32) | payload (rows x cols x i8) | CRC
-  // over scales + payload, so a flipped scale bit is caught exactly like a
-  // flipped payload bit.
-  const size_t scales_bytes = rows.rows() * sizeof(float);
-  const size_t payload_bytes = rows.rows() * rows.cols() * sizeof(int8_t);
-  std::string buf;
-  buf.reserve(16 + scales_bytes + payload_bytes + 4);
-  AppendU32(&buf, kQuantBlockMagic);
-  AppendU32(&buf, static_cast<uint32_t>(shard));
-  AppendU32(&buf, static_cast<uint32_t>(rows.rows()));
-  AppendU32(&buf, static_cast<uint32_t>(rows.cols()));
-  buf.append(reinterpret_cast<const char*>(rows.scales().data()),
-             scales_bytes);
-  buf.append(reinterpret_cast<const char*>(rows.data()), payload_bytes);
-  AppendU32(&buf, Crc32(buf.data() + 16, scales_bytes + payload_bytes));
-  AHNTP_RETURN_IF_ERROR(WriteFileAtomic(BlockPath(shard), buf));
-  auto it = qresident_.find(shard);
-  if (it != qresident_.end()) {
-    qresident_.erase(it);
-    lru_.remove(shard);
-  }
-  return Status::Ok();
-}
-
-Status ShardEmbeddingStore::SpillAllQuantized(
-    const tensor::Matrix& embeddings, const tensor::RowCalibration& calib) {
-  if (embeddings.rows() != sharding_.num_users() || embeddings.cols() != dim_) {
-    return Status::InvalidArgument(StrFormat(
-        "embedding table must be %zux%zu, got %zux%zu", sharding_.num_users(),
-        dim_, embeddings.rows(), embeddings.cols()));
-  }
-  AHNTP_RETURN_IF_ERROR(
-      tensor::ValidateCalibration(calib, embeddings.rows()));
-  for (int s = 0; s < sharding_.num_shards(); ++s) {
-    const std::vector<int>& owned = sharding_.UsersOf(s);
-    tensor::Matrix block(owned.size(), dim_);
-    tensor::RowCalibration block_calib;
-    block_calib.absmax.resize(owned.size());
-    for (size_t r = 0; r < owned.size(); ++r) {
-      std::memcpy(block.RowPtr(r),
-                  embeddings.RowPtr(static_cast<size_t>(owned[r])),
-                  dim_ * sizeof(float));
-      block_calib.absmax[r] = calib.absmax[static_cast<size_t>(owned[r])];
-    }
-    AHNTP_RETURN_IF_ERROR(SpillQuantShard(
-        s, tensor::QuantizedMatrix::Quantize(block, block_calib)));
-  }
-  qresident_.clear();
-  lru_.clear();
-  if (metrics::Enabled()) {
-    metrics::GetGauge("infer.shard_resident_bytes").Set(0.0);
-  }
-  return Status::Ok();
-}
-
-void ShardEmbeddingStore::Touch(int shard) {
-  lru_.remove(shard);
-  lru_.push_front(shard);
-}
-
-void ShardEmbeddingStore::EvictPastCap() {
-  while (num_resident() >= max_resident_) {
-    int victim = lru_.back();
-    lru_.pop_back();
-    resident_.erase(victim);
-    qresident_.erase(victim);
-    AHNTP_METRIC_COUNT("infer.shard_evictions", 1);
-  }
+int ShardEmbeddingStore::num_resident() const {
+  return static_cast<int>(std::count_if(
+      slots_.begin(), slots_.end(), [](const Slot& s) { return s.resident; }));
 }
 
 size_t ShardEmbeddingStore::resident_bytes() const {
   size_t bytes = 0;
-  for (const auto& [shard, block] : resident_) {
-    bytes += block.size() * sizeof(float);
-  }
-  for (const auto& [shard, block] : qresident_) {
-    bytes += block.bytes();
+  for (const Slot& slot : slots_) {
+    if (slot.resident) bytes += slot.block.bytes();
   }
   return bytes;
 }
 
-Result<const tensor::Matrix*> ShardEmbeddingStore::Block(int shard) {
-  AHNTP_CHECK(precision_ == PlanPrecision::kFloat32)
-      << "Block() on an int8 store; use QuantBlock()";
-  if (shard < 0 || shard >= sharding_.num_shards()) {
-    return Status::InvalidArgument(
-        StrFormat("shard %d out of range for %d shards", shard,
-                  sharding_.num_shards()));
-  }
-  auto it = resident_.find(shard);
-  if (it != resident_.end()) {
-    AHNTP_METRIC_COUNT("infer.shard_hits", 1);
-    Touch(shard);
-    return &it->second;
-  }
+const EmbeddingBlock* ShardEmbeddingStore::resident_block(int shard) const {
+  if (!CheckShard(shard).ok()) return nullptr;
+  const Slot& slot = slots_[static_cast<size_t>(shard)];
+  return slot.resident ? &slot.block : nullptr;
+}
 
-  trace::TraceSpan span("infer.shard.fault");
-  AHNTP_METRIC_COUNT("infer.shard_faults", 1);
+void ShardEmbeddingStore::RecordResidentBytes() const {
+  if (metrics::Enabled()) {
+    metrics::GetGauge("infer.shard_resident_bytes")
+        .Set(static_cast<double>(resident_bytes()));
+  }
+}
+
+void ShardEmbeddingStore::Drop(Slot* slot) {
+  slot->block = EmbeddingBlock();
+  slot->resident = false;
+}
+
+Status ShardEmbeddingStore::WriteBlock(int shard,
+                                       const EmbeddingBlock& block) {
+  trace::TraceSpan span("infer.shard.spill");
+  std::error_code ec;
+  std::filesystem::create_directories(spill_dir_, ec);
+  if (ec) {
+    return Status::IoError("cannot create spill directory " + spill_dir_ +
+                           ": " + ec.message());
+  }
+  // AHSB: header | rows x cols f32 | CRC. AHSQ: header | scales (rows x
+  // f32) | payload (rows x cols i8) | CRC over scales + payload, so a
+  // flipped scale bit is caught exactly like a flipped payload bit.
+  const bool int8 = precision_ == PlanPrecision::kInt8;
+  const size_t rows = sharding_.UsersOf(shard).size();
+  std::string buf;
+  AppendU32(&buf, int8 ? kQuantBlockMagic : kBlockMagic);
+  AppendU32(&buf, static_cast<uint32_t>(shard));
+  AppendU32(&buf, static_cast<uint32_t>(rows));
+  AppendU32(&buf, static_cast<uint32_t>(dim_));
+  if (int8) {
+    buf.append(reinterpret_cast<const char*>(block.quant.scales().data()),
+               rows * sizeof(float));
+    buf.append(reinterpret_cast<const char*>(block.quant.data()),
+               rows * dim_ * sizeof(int8_t));
+  } else {
+    buf.append(reinterpret_cast<const char*>(block.rows.data()),
+               rows * dim_ * sizeof(float));
+  }
+  AppendU32(&buf, Crc32(buf.data() + kHeaderBytes, buf.size() - kHeaderBytes));
+  return WriteFileAtomic(BlockPath(shard), buf);
+}
+
+Result<EmbeddingBlock> ShardEmbeddingStore::ReadBlock(int shard) {
   std::string buf;
   AHNTP_RETURN_IF_ERROR(ReadFileToString(BlockPath(shard), &buf));
+  const bool int8 = precision_ == PlanPrecision::kInt8;
   const size_t rows = sharding_.UsersOf(shard).size();
-  const size_t payload_bytes = rows * dim_ * sizeof(float);
-  if (buf.size() != 16 + payload_bytes + 4 ||
-      ReadU32(buf.data()) != kBlockMagic ||
+  const size_t scales_bytes = int8 ? rows * sizeof(float) : 0;
+  const size_t payload_bytes =
+      rows * dim_ * (int8 ? sizeof(int8_t) : sizeof(float));
+  const size_t body_bytes = scales_bytes + payload_bytes;
+  if (buf.size() != kHeaderBytes + body_bytes + 4 ||
+      ReadU32(buf.data()) != (int8 ? kQuantBlockMagic : kBlockMagic) ||
       ReadU32(buf.data() + 4) != static_cast<uint32_t>(shard) ||
       ReadU32(buf.data() + 8) != static_cast<uint32_t>(rows) ||
       ReadU32(buf.data() + 12) != static_cast<uint32_t>(dim_)) {
     return Status::Corruption("bad shard block header: " + BlockPath(shard));
   }
-  if (ReadU32(buf.data() + 16 + payload_bytes) !=
-      Crc32(buf.data() + 16, payload_bytes)) {
+  const char* body = buf.data() + kHeaderBytes;
+  if (ReadU32(body + body_bytes) != Crc32(body, body_bytes)) {
     return Status::Corruption("shard block CRC mismatch: " + BlockPath(shard));
   }
-  tensor::Matrix block(rows, dim_);
-  std::memcpy(block.data(), buf.data() + 16, payload_bytes);
-
-  EvictPastCap();
-  auto [inserted, ok] = resident_.emplace(shard, std::move(block));
-  AHNTP_CHECK(ok);
-  lru_.push_front(shard);
-  if (metrics::Enabled()) {
-    metrics::GetGauge("infer.shard_resident_bytes")
-        .Set(static_cast<double>(resident_bytes()));
+  EmbeddingBlock block;
+  if (int8) {
+    std::vector<float> scales(rows);
+    std::memcpy(scales.data(), body, scales_bytes);
+    std::vector<int8_t> data(rows * dim_);
+    std::memcpy(data.data(), body + scales_bytes, payload_bytes);
+    block.quant = tensor::QuantizedMatrix::FromParts(
+        rows, dim_, std::move(data), std::move(scales));
+  } else {
+    block.rows = tensor::Matrix(rows, dim_);
+    std::memcpy(block.rows.data(), body, payload_bytes);
   }
-  return &inserted->second;
+  return block;
 }
 
-Result<const tensor::QuantizedMatrix*> ShardEmbeddingStore::QuantBlock(
-    int shard) {
-  AHNTP_CHECK(precision_ == PlanPrecision::kInt8)
-      << "QuantBlock() on a float store; use Block()";
-  if (shard < 0 || shard >= sharding_.num_shards()) {
-    return Status::InvalidArgument(
-        StrFormat("shard %d out of range for %d shards", shard,
-                  sharding_.num_shards()));
+Status ShardEmbeddingStore::Put(int shard, EmbeddingBlock block) {
+  AHNTP_RETURN_IF_ERROR(CheckShard(shard));
+  const size_t rows = sharding_.UsersOf(shard).size();
+  const bool int8 = precision_ == PlanPrecision::kInt8;
+  const size_t got_rows = int8 ? block.quant.rows() : block.rows.rows();
+  const size_t got_cols = int8 ? block.quant.cols() : block.rows.cols();
+  const bool other_empty =
+      int8 ? block.rows.empty() : block.quant.rows() == 0;
+  if (got_rows != rows || got_cols != dim_ || !other_empty) {
+    return Status::InvalidArgument(StrFormat(
+        "shard %d block must be one %s %zux%zu table, got %zux%zu", shard,
+        PlanPrecisionName(precision_), rows, dim_, got_rows, got_cols));
   }
-  auto it = qresident_.find(shard);
-  if (it != qresident_.end()) {
-    AHNTP_METRIC_COUNT("infer.shard_hits", 1);
-    Touch(shard);
-    return &it->second;
+  Slot& slot = slots_[static_cast<size_t>(shard)];
+  if (spilled()) {
+    AHNTP_RETURN_IF_ERROR(WriteBlock(shard, block));
+    // The file is now the truth; a resident copy of the old generation
+    // must not serve.
+    Drop(&slot);
+    RecordResidentBytes();
+    return Status::Ok();
+  }
+  slot.block = std::move(block);
+  slot.resident = true;
+  return Status::Ok();
+}
+
+Result<EmbeddingBlock*> ShardEmbeddingStore::Fetch(int shard) {
+  AHNTP_RETURN_IF_ERROR(CheckShard(shard));
+  Slot& slot = slots_[static_cast<size_t>(shard)];
+  slot.last_used = ++tick_;
+  if (slot.resident) {
+    if (spilled()) AHNTP_METRIC_COUNT("infer.shard_hits", 1);
+    return &slot.block;
+  }
+  if (!spilled()) {
+    return Status::FailedPrecondition(
+        StrFormat("shard %d block was never installed", shard));
   }
 
   trace::TraceSpan span("infer.shard.fault");
   AHNTP_METRIC_COUNT("infer.shard_faults", 1);
-  std::string buf;
-  AHNTP_RETURN_IF_ERROR(ReadFileToString(BlockPath(shard), &buf));
-  const size_t rows = sharding_.UsersOf(shard).size();
-  const size_t scales_bytes = rows * sizeof(float);
-  const size_t payload_bytes = rows * dim_ * sizeof(int8_t);
-  if (buf.size() != 16 + scales_bytes + payload_bytes + 4 ||
-      ReadU32(buf.data()) != kQuantBlockMagic ||
-      ReadU32(buf.data() + 4) != static_cast<uint32_t>(shard) ||
-      ReadU32(buf.data() + 8) != static_cast<uint32_t>(rows) ||
-      ReadU32(buf.data() + 12) != static_cast<uint32_t>(dim_)) {
-    return Status::Corruption("bad quant block header: " + BlockPath(shard));
+  auto block = ReadBlock(shard);
+  AHNTP_RETURN_IF_ERROR(block.status());
+  while (num_resident() >= max_resident_) {
+    Slot* victim = nullptr;
+    for (Slot& s : slots_) {
+      if (!s.resident) continue;
+      if (victim == nullptr || s.last_used < victim->last_used) victim = &s;
+    }
+    Drop(victim);
+    AHNTP_METRIC_COUNT("infer.shard_evictions", 1);
   }
-  if (ReadU32(buf.data() + 16 + scales_bytes + payload_bytes) !=
-      Crc32(buf.data() + 16, scales_bytes + payload_bytes)) {
-    return Status::Corruption("quant block CRC mismatch: " +
-                              BlockPath(shard));
-  }
-  std::vector<float> scales(rows);
-  std::memcpy(scales.data(), buf.data() + 16, scales_bytes);
-  std::vector<int8_t> data(rows * dim_);
-  std::memcpy(data.data(), buf.data() + 16 + scales_bytes, payload_bytes);
-  tensor::QuantizedMatrix block = tensor::QuantizedMatrix::FromParts(
-      rows, dim_, std::move(data), std::move(scales));
-
-  EvictPastCap();
-  auto [inserted, ok] = qresident_.emplace(shard, std::move(block));
-  AHNTP_CHECK(ok);
-  lru_.push_front(shard);
-  if (metrics::Enabled()) {
-    metrics::GetGauge("infer.shard_resident_bytes")
-        .Set(static_cast<double>(resident_bytes()));
-  }
-  return &inserted->second;
+  slot.block = std::move(block).value();
+  slot.resident = true;
+  RecordResidentBytes();
+  return &slot.block;
 }
 
-Status ShardEmbeddingStore::CopyUserRow(int user, float* out) {
-  const int shard = sharding_.ShardOf(user);
-  const std::vector<int>& owned = sharding_.UsersOf(shard);
-  auto it = std::lower_bound(owned.begin(), owned.end(), user);
-  AHNTP_CHECK(it != owned.end() && *it == user);
-  const size_t row = static_cast<size_t>(it - owned.begin());
-  if (precision_ == PlanPrecision::kInt8) {
-    auto block = QuantBlock(shard);
-    AHNTP_RETURN_IF_ERROR(block.status());
-    // Same q * scale product a monolithic int8 plan computes, so the
-    // sharded and monolithic int8 paths stay bitwise-identical.
-    block.value()->DequantizeRowInto(row, out);
-    return Status::Ok();
+Status ShardEmbeddingStore::Flush(int shard) {
+  AHNTP_RETURN_IF_ERROR(CheckShard(shard));
+  if (!spilled()) return Status::Ok();
+  Slot& slot = slots_[static_cast<size_t>(shard)];
+  AHNTP_CHECK(slot.resident) << "Flush of a block that is not resident";
+  Status status = WriteBlock(shard, slot.block);
+  if (!status.ok()) {
+    Drop(&slot);
+    RecordResidentBytes();
   }
-  auto block = Block(shard);
-  AHNTP_RETURN_IF_ERROR(block.status());
-  std::memcpy(out, block.value()->RowPtr(row), dim_ * sizeof(float));
+  return status;
+}
+
+Status ShardEmbeddingStore::Gather(const std::vector<int>& users,
+                                   const std::vector<float*>& out) {
+  AHNTP_CHECK_EQ(users.size(), out.size());
+  touched_.assign(slots_.size(), 0);
+  for (int u : users) touched_[static_cast<size_t>(sharding_.ShardOf(u))] = 1;
+  const bool int8 = precision_ == PlanPrecision::kInt8;
+  for (int s = 0; s < sharding_.num_shards(); ++s) {
+    if (!touched_[static_cast<size_t>(s)]) continue;
+    auto block = Fetch(s);
+    AHNTP_RETURN_IF_ERROR(block.status());
+    const EmbeddingBlock& b = *block.value();
+    for (size_t i = 0; i < users.size(); ++i) {
+      if (sharding_.ShardOf(users[i]) != s) continue;
+      const size_t row = static_cast<size_t>(sharding_.RowOf(users[i]));
+      if (int8) {
+        b.quant.DequantizeRowInto(row, out[i]);
+      } else {
+        std::memcpy(out[i], b.rows.RowPtr(row), dim_ * sizeof(float));
+      }
+    }
+  }
   return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
-// ShardedInferencePlan
+// InferencePlan
 // ---------------------------------------------------------------------------
 
-ShardedInferencePlan::ShardedInferencePlan(TrustPredictor* predictor,
-                                           ShardedPlanOptions options)
+InferencePlan::InferencePlan(TrustPredictor* predictor,
+                             ShardedPlanOptions options)
     : predictor_(predictor), options_(std::move(options)) {
   AHNTP_CHECK(predictor_ != nullptr);
   AHNTP_CHECK_GE(options_.num_shards, 1);
-  AHNTP_CHECK(!options_.spill_dir.empty())
-      << "sharded inference needs a spill directory";
-  // A unique subdirectory per plan instance: a staged reload's freshly
-  // spilled blocks must never be faulted in by the still-serving plan of
-  // the previous generation. The pid keeps concurrent processes sharing a
-  // spill_dir (parallel test runners) from colliding on plan_0.
-  static std::atomic<uint64_t> plan_counter{0};
-  plan_spill_dir_ =
-      options_.spill_dir + "/plan_" + std::to_string(::getpid()) + "_" +
-      std::to_string(plan_counter.fetch_add(1, std::memory_order_relaxed));
+  AHNTP_CHECK_GE(options_.max_resident_shards, 1)
+      << "resident-shard cap must be positive";
+  AHNTP_CHECK(options_.num_shards == 1 || !options_.spill_dir.empty())
+      << "a plan without a spill directory holds one block";
+  if (!options_.spill_dir.empty()) {
+    // A unique subdirectory per plan instance: a staged reload's freshly
+    // spilled blocks must never be faulted in by the still-serving plan of
+    // the previous generation. The pid keeps concurrent processes sharing
+    // a spill_dir (parallel test runners) from colliding on plan_0.
+    static std::atomic<uint64_t> plan_counter{0};
+    spill_dir_ =
+        options_.spill_dir + "/plan_" + std::to_string(::getpid()) + "_" +
+        std::to_string(plan_counter.fetch_add(1, std::memory_order_relaxed));
+  }
 }
 
-Status ShardedInferencePlan::EnsureBuilt() {
+InferencePlan::~InferencePlan() {
+  if (spill_dir_.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir_, ec);
+}
+
+Status InferencePlan::EnsureBuilt() {
   if (built_) {
     AHNTP_METRIC_COUNT("infer.cache_hits", 1);
     return Status::Ok();
   }
-  trace::TraceSpan span("infer.shard.plan_build");
   AHNTP_METRIC_COUNT("infer.cache_misses", 1);
-  AHNTP_METRIC_COUNT("infer.shard_plan_builds", 1);
-  // Encode into a throwaway arena (as InferencePlan does), then spill the
-  // table and let it die with this scope — steady state holds at most
-  // max_resident_shards blocks.
-  tensor::Matrix embeddings;
+  AHNTP_METRIC_COUNT("infer.plan_builds", 1);
+  store_.reset();  // free the stale table before encoding the new one
+  // The all-user encode needs per-layer buffers far larger than the scoring
+  // chain; a throwaway arena keeps that storage from lingering in ws_.
+  tensor::Matrix table;
   {
     tensor::Workspace encode_ws;
-    embeddings = predictor_->encoder().InferUsers(&encode_ws);
+    table = predictor_->encoder().InferUsers(&encode_ws);
   }
-  auto sharding = graph::UserSharding::Create(
-      embeddings.rows(),
-      {.num_shards = options_.num_shards, .mode = options_.mode});
-  AHNTP_RETURN_IF_ERROR(sharding.status());
-  const int max_resident = options_.max_resident_shards > 0
-                               ? options_.max_resident_shards
-                               : MaxResidentShards();
-  store_ = std::make_unique<ShardEmbeddingStore>(
-      std::move(sharding).value(), embeddings.cols(), plan_spill_dir_,
-      max_resident, options_.precision);
-  if (options_.precision == PlanPrecision::kInt8) {
+  const bool int8 = precision_ == PlanPrecision::kInt8;
+  if (int8) {
     if (has_external_calib_) {
-      AHNTP_RETURN_IF_ERROR(
-          tensor::ValidateCalibration(calib_, embeddings.rows()));
+      AHNTP_RETURN_IF_ERROR(tensor::ValidateCalibration(calib_, table.rows()));
     } else {
-      auto calib = tensor::CalibrateRowAbsmax(embeddings);
+      // Self-calibration over the encoder's own activations (the embedding
+      // table is exactly what flows into the scoring towers).
+      auto calib = tensor::CalibrateRowAbsmax(table);
       AHNTP_RETURN_IF_ERROR(calib.status());
       calib_ = std::move(calib).value();
     }
-    AHNTP_RETURN_IF_ERROR(store_->SpillAllQuantized(embeddings, calib_));
-    AHNTP_METRIC_COUNT("infer.quantized_builds", 1);
-  } else {
-    AHNTP_RETURN_IF_ERROR(store_->SpillAll(embeddings));
   }
+  auto sharding = graph::UserSharding::Create(
+      table.rows(), {.num_shards = options_.num_shards, .mode = options_.mode});
+  AHNTP_RETURN_IF_ERROR(sharding.status());
+  const size_t d = table.cols();
+  auto store = std::make_unique<ShardEmbeddingStore>(
+      std::move(sharding).value(), d, precision_, spill_dir_,
+      options_.max_resident_shards);
+  for (int s = 0; s < options_.num_shards; ++s) {
+    const std::vector<int>& owned = store->sharding().UsersOf(s);
+    EmbeddingBlock block;
+    if (options_.num_shards == 1) {
+      block.rows = std::move(table);  // one block: the table itself
+    } else {
+      block.rows = tensor::Matrix(owned.size(), d);
+      for (size_t r = 0; r < owned.size(); ++r) {
+        std::memcpy(block.rows.RowPtr(r),
+                    table.RowPtr(static_cast<size_t>(owned[r])),
+                    d * sizeof(float));
+      }
+    }
+    if (int8) {
+      // Every user keeps its full-table absmax, so the dequantized rows
+      // are bitwise-identical at any shard count.
+      tensor::RowCalibration block_calib;
+      block_calib.absmax.resize(owned.size());
+      for (size_t r = 0; r < owned.size(); ++r) {
+        block_calib.absmax[r] = calib_.absmax[static_cast<size_t>(owned[r])];
+      }
+      block.quant = tensor::QuantizedMatrix::Quantize(block.rows, block_calib);
+      block.rows = tensor::Matrix();
+    }
+    AHNTP_RETURN_IF_ERROR(store->Put(s, std::move(block)));
+  }
+  if (int8) AHNTP_METRIC_COUNT("infer.quantized_builds", 1);
+  store_ = std::move(store);
   built_ = true;
   return Status::Ok();
 }
 
-Status ShardedInferencePlan::RefreshRows(const std::vector<int>& users,
-                                         const tensor::Matrix& rows) {
+Status InferencePlan::RefreshRows(const std::vector<int>& users,
+                                  const tensor::Matrix& rows) {
   AHNTP_CHECK_EQ(users.size(), rows.rows());
   if (users.empty() || !built_) return Status::Ok();
-  trace::TraceSpan span("infer.shard.plan_refresh");
+  trace::TraceSpan span("infer.plan_refresh");
   const graph::UserSharding& sharding = store_->sharding();
-  AHNTP_CHECK_EQ(rows.cols(), store_->dim());
+  const size_t d = store_->dim();
+  AHNTP_CHECK_EQ(rows.cols(), d);
   std::map<int, std::vector<size_t>> by_shard;  // shard -> indices into rows
   for (size_t i = 0; i < users.size(); ++i) {
     const int u = users[i];
@@ -688,102 +478,106 @@ Status ShardedInferencePlan::RefreshRows(const std::vector<int>& users,
     }
     by_shard[sharding.ShardOf(u)].push_back(i);
   }
-  for (const auto& [shard, indices] : by_shard) {
-    const std::vector<int>& owned = sharding.UsersOf(shard);
-    if (options_.precision == PlanPrecision::kInt8) {
-      auto block = store_->QuantBlock(shard);
-      AHNTP_RETURN_IF_ERROR(block.status());
-      tensor::QuantizedMatrix patched = *block.value();
-      for (size_t i : indices) {
-        const int u = users[i];
-        auto it = std::lower_bound(owned.begin(), owned.end(), u);
-        AHNTP_CHECK(it != owned.end() && *it == u);
-        const float* src = rows.RowPtr(i);
-        float absmax = calib_.absmax[static_cast<size_t>(u)];
-        if (!has_external_calib_) {
-          auto fresh = RowAbsmax(src, store_->dim(), u);
-          AHNTP_RETURN_IF_ERROR(fresh.status());
-          absmax = fresh.value();
-          calib_.absmax[static_cast<size_t>(u)] = absmax;
-        }
-        patched.UpdateRow(static_cast<size_t>(it - owned.begin()), src,
-                          absmax);
-      }
-      AHNTP_RETURN_IF_ERROR(store_->SpillQuantShard(shard, patched));
-    } else {
-      auto block = store_->Block(shard);
-      AHNTP_RETURN_IF_ERROR(block.status());
-      tensor::Matrix patched = *block.value();
-      for (size_t i : indices) {
-        auto it = std::lower_bound(owned.begin(), owned.end(), users[i]);
-        AHNTP_CHECK(it != owned.end() && *it == users[i]);
-        std::memcpy(patched.RowPtr(static_cast<size_t>(it - owned.begin())),
-                    rows.RowPtr(i), store_->dim() * sizeof(float));
-      }
-      AHNTP_RETURN_IF_ERROR(store_->SpillShard(shard, patched));
+  const bool int8 = precision_ == PlanPrecision::kInt8;
+  if (int8 && !has_external_calib_) {
+    // Refresh the dirty rows' absmax first, so a non-finite row rejects
+    // the whole patch before any block changes.
+    std::vector<float> absmax(users.size());
+    for (size_t i = 0; i < users.size(); ++i) {
+      auto fresh = RowAbsmax(rows.RowPtr(i), d, users[i]);
+      AHNTP_RETURN_IF_ERROR(fresh.status());
+      absmax[i] = fresh.value();
     }
-    AHNTP_METRIC_COUNT("infer.shard_refreshes", 1);
+    for (size_t i = 0; i < users.size(); ++i) {
+      calib_.absmax[static_cast<size_t>(users[i])] = absmax[i];
+    }
+  }
+  for (const auto& [shard, indices] : by_shard) {
+    auto block = store_->Fetch(shard);
+    AHNTP_RETURN_IF_ERROR(block.status());
+    for (size_t i : indices) {
+      const size_t row = static_cast<size_t>(sharding.RowOf(users[i]));
+      if (int8) {
+        block.value()->quant.UpdateRow(
+            row, rows.RowPtr(i), calib_.absmax[static_cast<size_t>(users[i])]);
+      } else {
+        std::memcpy(block.value()->rows.RowPtr(row), rows.RowPtr(i),
+                    d * sizeof(float));
+      }
+    }
+    AHNTP_RETURN_IF_ERROR(store_->Flush(shard));
   }
   AHNTP_METRIC_COUNT("infer.row_refreshes", users.size());
   return Status::Ok();
 }
 
-void ShardedInferencePlan::SetPrecision(PlanPrecision precision) {
-  if (options_.precision == precision) return;
-  options_.precision = precision;
+void InferencePlan::SetPrecision(PlanPrecision precision) {
+  if (precision_ == precision) return;
+  precision_ = precision;
   Invalidate();
 }
 
-Status ShardedInferencePlan::SetCalibration(tensor::RowCalibration calib) {
+Status InferencePlan::SetCalibration(tensor::RowCalibration calib) {
+  // Build first so the live table's row count is known for validation.
   AHNTP_RETURN_IF_ERROR(EnsureBuilt());
-  AHNTP_RETURN_IF_ERROR(tensor::ValidateCalibration(
-      calib, static_cast<size_t>(store_->sharding().num_users())));
+  AHNTP_RETURN_IF_ERROR(
+      tensor::ValidateCalibration(calib, store_->sharding().num_users()));
   calib_ = std::move(calib);
   has_external_calib_ = true;
-  Invalidate();
+  Invalidate();  // recalibration requantizes at the next Score()
   return Status::Ok();
 }
 
-Result<std::vector<float>> ShardedInferencePlan::Score(
+const tensor::Matrix& InferencePlan::embeddings() const {
+  static const tensor::Matrix kEmpty;
+  if (!built_ || options_.num_shards != 1) return kEmpty;
+  const EmbeddingBlock* block = store_->resident_block(0);
+  return block != nullptr ? block->rows : kEmpty;
+}
+
+size_t InferencePlan::embedding_bytes() const {
+  return store_ ? store_->resident_bytes() : 0;
+}
+
+Result<std::vector<float>> InferencePlan::Score(
     const std::vector<data::TrustPair>& pairs) {
   return ScoreImpl(pairs, -1.0f, 0);
 }
 
-Result<std::vector<float>> ShardedInferencePlan::ScoreWithInputDropout(
+Result<std::vector<float>> InferencePlan::ScoreWithInputDropout(
     const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed) {
   AHNTP_CHECK(rate > 0.0f && rate < 1.0f)
       << "dropout rate must lie in (0, 1), got " << rate;
   return ScoreImpl(pairs, rate, seed);
 }
 
-Result<std::vector<float>> ShardedInferencePlan::ScoreImpl(
+Result<std::vector<float>> InferencePlan::ScoreImpl(
     const std::vector<data::TrustPair>& pairs, float dropout_rate,
     uint64_t dropout_seed) {
   AHNTP_CHECK(!pairs.empty());
   AHNTP_RETURN_IF_ERROR(EnsureBuilt());
   ws_.Reset();
   const size_t n = pairs.size();
-  const size_t d = store_->dim();
   using tensor::Matrix;
-  // Same arena discipline as InferencePlan::Score: the gathered inputs are
-  // filled row-by-row from the resident blocks instead of GatherRowsInto,
-  // which copies the identical float32 values.
-  Matrix* src_emb = ws_.Acquire(n, d);
-  Matrix* dst_emb = ws_.Acquire(n, d);
-  std::vector<int> src_users(n), dst_users(n);
+  Matrix* src_emb = ws_.Acquire(n, store_->dim());
+  Matrix* dst_emb = ws_.Acquire(n, store_->dim());
+  users_.resize(2 * n);
+  rows_.resize(2 * n);
   for (size_t i = 0; i < n; ++i) {
-    src_users[i] = pairs[i].src;
-    dst_users[i] = pairs[i].dst;
-    AHNTP_RETURN_IF_ERROR(store_->CopyUserRow(pairs[i].src, src_emb->RowPtr(i)));
-    AHNTP_RETURN_IF_ERROR(store_->CopyUserRow(pairs[i].dst, dst_emb->RowPtr(i)));
+    users_[i] = pairs[i].src;
+    users_[n + i] = pairs[i].dst;
+    rows_[i] = src_emb->RowPtr(i);
+    rows_[n + i] = dst_emb->RowPtr(i);
   }
+  AHNTP_RETURN_IF_ERROR(store_->Gather(users_, rows_));
   if (dropout_rate > 0.0f) {
-    ApplyInputDropout(src_emb, src_users, /*role=*/0, dropout_rate,
+    ApplyInputDropout(src_emb, users_.data(), /*role=*/0, dropout_rate,
                       dropout_seed);
-    ApplyInputDropout(dst_emb, dst_users, /*role=*/1, dropout_rate,
+    ApplyInputDropout(dst_emb, users_.data() + n, /*role=*/1, dropout_rate,
                       dropout_seed);
   }
-  std::vector<float> out = RunScoringChain(*predictor_, &ws_, *src_emb, *dst_emb);
+  std::vector<float> out =
+      RunScoringChain(*predictor_, &ws_, *src_emb, *dst_emb);
   ws_.Reset();
   RecordWorkspaceBytes(ws_);
   return out;

@@ -21,6 +21,7 @@ TrustPredictor::TrustPredictor(std::shared_ptr<Encoder> encoder,
   tower_dst_ = std::make_unique<nn::Mlp>(dims, rng, nn::Activation::kRelu,
                                          nn::Activation::kNone,
                                          config.dropout);
+  plan_ = std::make_unique<InferencePlan>(this);
 }
 
 TrustPredictor::~TrustPredictor() = default;
@@ -31,8 +32,7 @@ TrustPredictor::PairOutput TrustPredictor::Forward(
   // A training forward precedes a parameter update, so any cached
   // embeddings are about to go stale. (SetTraining now recurses through
   // Submodules(), so the per-call flag pushes are gone.)
-  if (training_ && plan_) plan_->Invalidate();
-  if (training_ && sharded_plan_) sharded_plan_->Invalidate();
+  if (training_) plan_->Invalidate();
   Variable embeddings = encoder_->EncodeUsers();
   std::vector<int> src_idx;
   std::vector<int> dst_idx;
@@ -59,83 +59,55 @@ std::vector<float> TrustPredictor::PredictProbabilities(
     const std::vector<data::TrustPair>& pairs) {
   bool was_training = training();
   SetTraining(false);
-  std::vector<float> probs;
-  if (sharded_plan_) {
-    // Spill-file I/O errors are environment failures, not model state; fail
-    // loudly rather than serve from a half-resident store.
-    auto result = sharded_plan_->Score(pairs);
-    AHNTP_CHECK_OK(result.status());
-    probs = std::move(result).value();
-  } else {
-    probs = Plan().Score(pairs);
-  }
+  // Spill-file I/O errors are environment failures, not model state; fail
+  // loudly rather than serve from a half-resident store.
+  auto probs = plan_->Score(pairs);
+  AHNTP_CHECK_OK(probs.status());
   SetTraining(was_training);
-  return probs;
+  return std::move(probs).value();
 }
 
 std::vector<float> TrustPredictor::PredictProbabilitiesWithInputDropout(
     const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed) {
   bool was_training = training();
   SetTraining(false);
-  std::vector<float> probs;
-  if (sharded_plan_) {
-    auto result = sharded_plan_->ScoreWithInputDropout(pairs, rate, seed);
-    AHNTP_CHECK_OK(result.status());
-    probs = std::move(result).value();
-  } else {
-    probs = Plan().ScoreWithInputDropout(pairs, rate, seed);
-  }
+  auto probs = plan_->ScoreWithInputDropout(pairs, rate, seed);
+  AHNTP_CHECK_OK(probs.status());
   SetTraining(was_training);
-  return probs;
+  return std::move(probs).value();
 }
 
 void TrustPredictor::WarmInferencePlan() {
-  if (sharded_plan_) {
-    AHNTP_CHECK_OK(sharded_plan_->EnsureBuilt());
-    return;
-  }
-  Plan().EnsureBuilt();
+  AHNTP_CHECK_OK(plan_->EnsureBuilt());
 }
 
 void TrustPredictor::EnableShardedInference(const ShardedPlanOptions& options) {
-  // The predictor-level precision wins over whatever the options carry, so
-  // SetInferencePrecision + EnableShardedInference compose in either order.
-  ShardedPlanOptions opts = options;
-  opts.precision = precision_;
-  sharded_plan_ = std::make_unique<ShardedInferencePlan>(this, opts);
+  const PlanPrecision precision = plan_->precision();
+  plan_.reset();  // the old plan removes its spill directory first
+  plan_ = std::make_unique<InferencePlan>(this, options);
+  plan_->SetPrecision(precision);
 }
 
-void TrustPredictor::DisableShardedInference() { sharded_plan_.reset(); }
+void TrustPredictor::DisableShardedInference() {
+  EnableShardedInference(ShardedPlanOptions{});
+}
 
 void TrustPredictor::SetInferencePrecision(PlanPrecision precision) {
-  precision_ = precision;
-  if (plan_) plan_->SetPrecision(precision);
-  if (sharded_plan_) sharded_plan_->SetPrecision(precision);
+  plan_->SetPrecision(precision);
+}
+
+PlanPrecision TrustPredictor::inference_precision() const {
+  return plan_->precision();
 }
 
 Status TrustPredictor::RefreshPlanRows(const std::vector<int>& users,
                                        const tensor::Matrix& rows) {
-  if (plan_) {
-    AHNTP_RETURN_IF_ERROR(plan_->RefreshRows(users, rows));
-  }
-  if (sharded_plan_) {
-    AHNTP_RETURN_IF_ERROR(sharded_plan_->RefreshRows(users, rows));
-  }
-  return Status::Ok();
+  return plan_->RefreshRows(users, rows);
 }
 
 void TrustPredictor::InvalidateCaches() {
   nn::Module::InvalidateCaches();
-  if (plan_) plan_->Invalidate();
-  if (sharded_plan_) sharded_plan_->Invalidate();
-}
-
-InferencePlan& TrustPredictor::Plan() {
-  if (!plan_) {
-    plan_ = std::make_unique<InferencePlan>(this);
-    plan_->SetPrecision(precision_);
-  }
-  return *plan_;
+  plan_->Invalidate();
 }
 
 std::vector<Variable> TrustPredictor::Parameters() const {

@@ -11,7 +11,6 @@
 namespace ahntp::models {
 
 class InferencePlan;
-class ShardedInferencePlan;
 struct ShardedPlanOptions;
 enum class PlanPrecision;  // models/inference_plan.h
 
@@ -59,45 +58,40 @@ class TrustPredictor : public nn::Module {
   /// forward sample of the uncertainty ensemble (models/uncertainty.h).
   /// Masks are keyed on (seed, user, tower side, element), so a pair's
   /// perturbed score is independent of batch composition, thread count,
-  /// and sharded-vs-monolithic plan. `rate` in (0, 1) (CHECK).
+  /// and shard count. `rate` in (0, 1) (CHECK).
   std::vector<float> PredictProbabilitiesWithInputDropout(
       const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed);
 
-  /// Builds the inference plan eagerly (encodes all users) so the first
-  /// PredictProbabilities call is cheap. serve::ModelBackend calls this
-  /// before publishing a predictor. When sharded inference is enabled this
-  /// warms the sharded plan (encode + spill) instead.
+  /// Builds the inference plan eagerly (encodes all users, and spills the
+  /// blocks of a sharded plan) so the first PredictProbabilities call is
+  /// cheap. serve::ModelBackend calls this before publishing a predictor.
   void WarmInferencePlan();
 
-  /// Switches PredictProbabilities to the shard-aware out-of-core plan
-  /// (models/inference_plan.h): per-shard embedding blocks on disk behind a
-  /// bounded resident-set LRU, bit-identical scores to the monolithic plan.
-  /// Takes effect at the next prediction; the plan spills lazily. Invalid
-  /// options (num_shards < 1, empty spill_dir) abort via CHECK.
+  /// Rebuilds the inference plan with `options` (models/inference_plan.h):
+  /// per-shard embedding blocks on disk, at most max_resident_shards of
+  /// them in RAM, bit-identical scores to the all-in-RAM plan. The old
+  /// plan and its spill directory go; the precision carries over. The new
+  /// plan encodes lazily. Invalid options (num_shards < 1,
+  /// max_resident_shards < 1, num_shards > 1 without spill_dir) abort via
+  /// CHECK.
   void EnableShardedInference(const ShardedPlanOptions& options);
 
-  /// Reverts PredictProbabilities to the monolithic in-RAM plan.
+  /// Rebuilds the inference plan with default options: one resident block.
   void DisableShardedInference();
 
-  /// Selects the embedding-table precision for whichever inference plan
-  /// serves PredictProbabilities (monolithic and sharded alike, including
-  /// plans created later). kInt8 stores the table quantized (4x smaller,
-  /// tolerance-equal scores); kFloat32 is the bit-exact default. A change
-  /// invalidates existing plans.
+  /// Selects the embedding-table precision of the inference plan (kept
+  /// across EnableShardedInference / DisableShardedInference). kInt8 stores
+  /// the table quantized (4x smaller, tolerance-equal scores); kFloat32 is
+  /// the bit-exact default. A change invalidates the plan.
   void SetInferencePrecision(models::PlanPrecision precision);
-  models::PlanPrecision inference_precision() const { return precision_; }
-
-  /// The sharded plan, or null when sharded inference is disabled.
-  const ShardedInferencePlan* sharded_plan() const {
-    return sharded_plan_.get();
-  }
+  models::PlanPrecision inference_precision() const;
 
   /// Delta-invalidation (DESIGN.md §17): patches only the given users'
-  /// embedding rows in whichever inference plans exist (monolithic and/or
-  /// sharded) WITHOUT invalidating them — the clean rows of the cached
-  /// tables keep serving. `users` ascending/deduplicated, `rows` their new
-  /// (|users| x d) embeddings. Plans not yet created or not built are left
-  /// alone; they encode the post-delta model from scratch on first use.
+  /// embedding rows in the inference plan WITHOUT invalidating it — the
+  /// clean rows of the cached table keep serving. `users`
+  /// ascending/deduplicated, `rows` their new (|users| x d) embeddings. A
+  /// plan that is not built is left alone; it encodes the post-delta model
+  /// from scratch on first use.
   Status RefreshPlanRows(const std::vector<int>& users,
                          const tensor::Matrix& rows);
 
@@ -112,18 +106,14 @@ class TrustPredictor : public nn::Module {
   const Encoder& encoder() const { return *encoder_; }
   const nn::Mlp& tower_src() const { return *tower_src_; }
   const nn::Mlp& tower_dst() const { return *tower_dst_; }
-  /// The compiled plan (created lazily); for tests and diagnostics.
+  /// The compiled plan (never null); for tests and diagnostics.
   const InferencePlan* inference_plan() const { return plan_.get(); }
 
  private:
-  InferencePlan& Plan();
-
   std::shared_ptr<Encoder> encoder_;
   std::unique_ptr<nn::Mlp> tower_src_;
   std::unique_ptr<nn::Mlp> tower_dst_;
   std::unique_ptr<InferencePlan> plan_;
-  std::unique_ptr<ShardedInferencePlan> sharded_plan_;
-  PlanPrecision precision_ = PlanPrecision{};  // kFloat32
 };
 
 }  // namespace ahntp::models

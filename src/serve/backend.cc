@@ -59,9 +59,11 @@ Status ModelBackend::Reload(const std::string& checkpoint_path) {
     // caches, so the plan warmed below encodes the *loaded* weights.
     status = nn::LoadModule(staged.get(), checkpoint_path);
     if (status.ok()) {
-      // The staged generation inherits the sharded configuration and the
-      // table precision; its plan spills into a fresh per-plan
-      // subdirectory, so the live model's blocks stay valid until the swap.
+      // The staged generation inherits the plan options and the table
+      // precision; its plan spills into a fresh per-plan subdirectory, so
+      // the live model's blocks stay valid until the swap, and the old
+      // model's plan removes its own directory when the last reference
+      // to it goes.
       staged->SetInferencePrecision(precision_);
       if (sharded_) staged->EnableShardedInference(*sharded_);
       // Warm outside the lock: the expensive all-user encode runs against

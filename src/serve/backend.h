@@ -95,11 +95,13 @@ class ModelBackend : public ScoreBackend {
 
   /// `factory` builds architecture-identical instances for reload staging;
   /// `initial` is the model served until the first successful Reload().
-  /// When `sharded` is set, the initial model and every staged reload run
-  /// the shard-aware inference plan (models/inference_plan.h): embeddings
-  /// live in per-shard disk blocks behind a bounded LRU, and a score
-  /// request faults in only the shards of its (src, dst) users — scores
-  /// stay bit-identical to the monolithic plan.
+  /// When `sharded` is set, the initial model and every staged reload build
+  /// their inference plan with those options (models/inference_plan.h):
+  /// embeddings live in per-shard disk blocks, at most
+  /// max_resident_shards of them in RAM, and a score batch fetches only
+  /// the blocks of its (src, dst) users — scores stay bit-identical to
+  /// the all-in-RAM plan. A generation's spill directory goes with its
+  /// model, so reloads leave one directory behind, not one per reload.
   /// `precision` selects the embedding-table format for the initial model
   /// and every staged reload (kInt8 = quantized tables, 4x smaller,
   /// tolerance-equal scores; see models::PlanPrecision).

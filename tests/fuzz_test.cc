@@ -670,7 +670,7 @@ TEST_P(CalibrationFuzzTest, GarbageStatsRejectedAndPlanKeepsServing) {
   models::InferencePlan plan(fx.predictor.get());
   plan.SetPrecision(models::PlanPrecision::kInt8);
   std::vector<data::TrustPair> pairs = fx.Pairs(8);
-  std::vector<float> baseline = plan.Score(pairs);
+  std::vector<float> baseline = plan.Score(pairs).value();
   const size_t rows = plan.calibration().rows();
   ASSERT_EQ(rows, fx.dataset.num_users);
 
@@ -716,7 +716,7 @@ TEST_P(CalibrationFuzzTest, GarbageStatsRejectedAndPlanKeepsServing) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     }
     // Whatever the outcome, the plan must keep producing finite scores.
-    std::vector<float> probs = plan.Score(pairs);
+    std::vector<float> probs = plan.Score(pairs).value();
     ASSERT_EQ(probs.size(), pairs.size());
     for (float p : probs) EXPECT_TRUE(std::isfinite(p));
   }
@@ -756,8 +756,8 @@ TEST_P(QuantBlockFuzzTest, RandomBitFlipsRejectedThenRefaultCleanly) {
   }
   ASSERT_EQ(files.size(), 2u);
 
-  auto* plan = const_cast<models::ShardedInferencePlan*>(
-      fx.predictor->sharded_plan());
+  auto* plan =
+      const_cast<models::InferencePlan*>(fx.predictor->inference_plan());
   ASSERT_NE(plan->mutable_store(), nullptr);
 
   for (int trial = 0; trial < 24; ++trial) {
@@ -774,8 +774,8 @@ TEST_P(QuantBlockFuzzTest, RandomBitFlipsRejectedThenRefaultCleanly) {
     }
     // With a residency cap of one, at least one of the two requests must
     // fault from disk and hit the corruption.
-    auto r0 = plan->mutable_store()->QuantBlock(0);
-    auto r1 = plan->mutable_store()->QuantBlock(1);
+    auto r0 = plan->mutable_store()->Fetch(0);
+    auto r1 = plan->mutable_store()->Fetch(1);
     ASSERT_TRUE(!r0.ok() || !r1.ok()) << "trial " << trial;
     StatusCode code =
         !r0.ok() ? r0.status().code() : r1.status().code();

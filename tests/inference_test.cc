@@ -280,6 +280,29 @@ TEST(InferencePlanTest, ScoringLoopIsAllocationFreeOnceWarm) {
     (void)predictor->PredictProbabilities(pairs);
   }
   EXPECT_EQ(plan->workspace().allocations(), warmed);
+
+  // The spilled layout, with the cap at K so every block stays resident
+  // once the first batches have faulted them in.
+  const std::string spill_dir =
+      ::testing::TempDir() + "/inference_alloc_spill_" +
+      std::to_string(::getpid());
+  models::ShardedPlanOptions opts;
+  opts.num_shards = 3;
+  opts.max_resident_shards = 3;
+  opts.spill_dir = spill_dir;
+  predictor->EnableShardedInference(opts);
+  predictor->WarmInferencePlan();
+  (void)predictor->PredictProbabilities(pairs);
+  const models::InferencePlan* spilled = predictor->inference_plan();
+  ASSERT_NE(spilled->store(), nullptr);
+  ASSERT_TRUE(spilled->store()->spilled());
+  warmed = spilled->workspace().allocations();
+  for (int i = 0; i < 20; ++i) {
+    (void)predictor->PredictProbabilities(pairs);
+  }
+  EXPECT_EQ(spilled->workspace().allocations(), warmed);
+  predictor->DisableShardedInference();
+  std::filesystem::remove_all(spill_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,6 +390,42 @@ TEST(BackendPlanTest, ReloadServesTheLoadedWeightsThroughThePlan) {
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ((*after)[i], expected[i]) << "pair " << i;
   }
+}
+
+TEST(BackendPlanTest, ShardedReloadsKeepOneSpillDirectory) {
+  const std::string spill_dir = ::testing::TempDir() +
+                                "/inference_reload_spill_" +
+                                std::to_string(::getpid());
+  std::filesystem::remove_all(spill_dir);
+  auto plan_dirs = [&spill_dir]() {
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(spill_dir, ec)) {
+      if (entry.path().filename().string().rfind("plan_", 0) == 0) ++n;
+    }
+    return n;
+  };
+  auto factory = MakeBackendFactory(8);
+  std::string path = ::testing::TempDir() + "/inference_reload_spill.ckpt";
+  ASSERT_TRUE(nn::SaveModule(*factory(), path).ok());
+  models::ShardedPlanOptions opts;
+  opts.num_shards = 3;
+  opts.max_resident_shards = 1;
+  opts.spill_dir = spill_dir;
+  std::vector<data::TrustPair> pairs = Fixture().Queries(6);
+  {
+    serve::ModelBackend backend(factory, factory(), opts);
+    EXPECT_EQ(plan_dirs(), 1u);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(backend.Reload(path).ok());
+      ASSERT_TRUE(backend.ScoreBatch(pairs).ok());
+      EXPECT_EQ(plan_dirs(), 1u) << "after reload " << i + 1;
+    }
+  }
+  EXPECT_EQ(plan_dirs(), 0u);
+  std::filesystem::remove(path);
+  std::filesystem::remove_all(spill_dir);
 }
 
 TEST(BackendPlanTest, FaultedReloadKeepsTheWarmPlanServing) {
@@ -648,7 +707,7 @@ TEST(Int8PlanTest, SetCalibrationInvalidatesAndRequantizes) {
   models::InferencePlan plan(predictor.get());
   plan.SetPrecision(models::PlanPrecision::kInt8);
   std::vector<data::TrustPair> pairs = Fixture().Queries(8);
-  std::vector<float> before = plan.Score(pairs);
+  std::vector<float> before = plan.Score(pairs).value();
   ASSERT_TRUE(plan.built());
   const size_t rows = plan.calibration().rows();
   ASSERT_GT(rows, 0u);
@@ -660,12 +719,13 @@ TEST(Int8PlanTest, SetCalibrationInvalidatesAndRequantizes) {
   for (size_t r = 0; r < rows; ++r) {
     tighter.absmax[r] = plan.calibration().absmax[r] * 0.5f;
   }
-  const float old_scale0 = plan.quantized_embeddings().scale(0);
+  const float old_scale0 = plan.store()->resident_block(0)->quant.scale(0);
   ASSERT_TRUE(plan.SetCalibration(tighter).ok());
   EXPECT_FALSE(plan.built());
-  std::vector<float> after = plan.Score(pairs);
+  std::vector<float> after = plan.Score(pairs).value();
   ASSERT_TRUE(plan.built());
-  EXPECT_EQ(plan.quantized_embeddings().scale(0), old_scale0 * 0.5f);
+  EXPECT_EQ(plan.store()->resident_block(0)->quant.scale(0),
+            old_scale0 * 0.5f);
   EXPECT_EQ(before.size(), after.size());
 }
 
@@ -674,7 +734,7 @@ TEST(Int8PlanTest, BadExternalCalibrationIsRejectedNotFatal) {
   models::InferencePlan plan(predictor.get());
   plan.SetPrecision(models::PlanPrecision::kInt8);
   std::vector<data::TrustPair> pairs = Fixture().Queries(4);
-  std::vector<float> before = plan.Score(pairs);
+  std::vector<float> before = plan.Score(pairs).value();
 
   tensor::RowCalibration wrong_rows;
   wrong_rows.absmax = {1.0f, 2.0f};  // dataset has 60 users
@@ -689,7 +749,7 @@ TEST(Int8PlanTest, BadExternalCalibrationIsRejectedNotFatal) {
 
   // A rejected calibration leaves the plan serving the old table unchanged.
   EXPECT_TRUE(plan.built());
-  std::vector<float> after = plan.Score(pairs);
+  std::vector<float> after = plan.Score(pairs).value();
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "pair " << i;
   }

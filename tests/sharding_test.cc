@@ -447,7 +447,7 @@ TEST_F(ShardedPlanTest, BoundedResidencyEvictsAndCountsFaults) {
   plan_opts.spill_dir = SpillDir();
   fx.predictor->EnableShardedInference(plan_opts);
   fx.predictor->WarmInferencePlan();
-  const models::ShardedInferencePlan* plan = fx.predictor->sharded_plan();
+  const models::InferencePlan* plan = fx.predictor->inference_plan();
   ASSERT_NE(plan, nullptr);
   ASSERT_NE(plan->store(), nullptr);
   EXPECT_EQ(plan->store()->max_resident(), 1);
@@ -464,6 +464,40 @@ TEST_F(ShardedPlanTest, BoundedResidencyEvictsAndCountsFaults) {
   // Residency never exceeds one block's bytes (plus slack for dim rounding).
   EXPECT_LE(plan->store()->resident_bytes(),
             (fx.dataset.num_users / 4 + 1) * sizeof(float) * 4096);
+  fx.predictor->DisableShardedInference();
+  metrics::Disable();
+}
+
+TEST_F(ShardedPlanTest, BatchFetchesEachBlockOnceUnderCapOne) {
+  metrics::Enable();
+  metrics::Reset();
+  PredictorFixture fx;
+  models::ShardedPlanOptions plan_opts;
+  plan_opts.num_shards = 4;
+  plan_opts.max_resident_shards = 1;
+  plan_opts.spill_dir = SpillDir();
+  fx.predictor->EnableShardedInference(plan_opts);
+  fx.predictor->WarmInferencePlan();
+  auto sharding = UserSharding::Create(fx.dataset.num_users,
+                                       {.num_shards = 4});
+  ASSERT_TRUE(sharding.ok());
+  // Test pairs in pair order hop between shards on nearly every endpoint,
+  // so a row-by-row gather under a 1-block cap would fault per row.
+  for (size_t batch : {8u, 32u, 64u}) {
+    std::vector<data::TrustPair> pairs = fx.Pairs(batch);
+    std::vector<bool> touched(4, false);
+    for (const data::TrustPair& p : pairs) {
+      touched[static_cast<size_t>(sharding->ShardOf(p.src))] = true;
+      touched[static_cast<size_t>(sharding->ShardOf(p.dst))] = true;
+    }
+    const int64_t blocks = std::count(touched.begin(), touched.end(), true);
+    const int64_t before = metrics::GetCounter("infer.shard_faults").Value();
+    (void)fx.predictor->PredictProbabilities(pairs);
+    const int64_t faults =
+        metrics::GetCounter("infer.shard_faults").Value() - before;
+    EXPECT_LE(faults, blocks) << "batch " << batch;
+    EXPECT_GE(faults, blocks - 1) << "batch " << batch;
+  }
   fx.predictor->DisableShardedInference();
   metrics::Disable();
 }
@@ -492,13 +526,13 @@ TEST_F(ShardedPlanTest, CorruptBlockSurfacesAsCorruption) {
     ++flipped;
   }
   ASSERT_GT(flipped, 0u);
-  auto* plan = const_cast<models::ShardedInferencePlan*>(
-      fx.predictor->sharded_plan());
+  auto* plan =
+      const_cast<models::InferencePlan*>(fx.predictor->inference_plan());
   // Drop residency so Score must fault from the corrupt files.
   ASSERT_TRUE(plan->mutable_store() != nullptr);
-  auto result = plan->mutable_store()->Block(0);
+  auto result = plan->mutable_store()->Fetch(0);
   // Block 0 may still be resident from the warm; fault the other shard too.
-  auto result1 = plan->mutable_store()->Block(1);
+  auto result1 = plan->mutable_store()->Fetch(1);
   EXPECT_TRUE(!result.ok() || !result1.ok());
   StatusCode code = !result.ok() ? result.status().code()
                                  : result1.status().code();
@@ -517,10 +551,10 @@ TEST_F(ShardedPlanTest, InvalidationRebuildsAfterWeightChange) {
   std::vector<data::TrustPair> pairs = fx.Pairs(8);
   std::vector<float> before = fx.predictor->PredictProbabilities(pairs);
   int64_t builds_before =
-      metrics::GetCounter("infer.shard_plan_builds").Value();
+      metrics::GetCounter("infer.plan_builds").Value();
   fx.predictor->InvalidateCaches();
   std::vector<float> after = fx.predictor->PredictProbabilities(pairs);
-  EXPECT_EQ(metrics::GetCounter("infer.shard_plan_builds").Value(),
+  EXPECT_EQ(metrics::GetCounter("infer.plan_builds").Value(),
             builds_before + 1);
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "same weights must re-encode identically";
