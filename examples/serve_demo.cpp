@@ -4,20 +4,21 @@
 // breaker trip/probe/recover with degraded-mode fallback, corrupt
 // checkpoint hot-reload, the overload-control layer (priority
 // admission lanes, request coalescing, generation-keyed score cache), and
-// the dynamic write lane (graph deltas applied between batches with
-// generation-keyed cache invalidation) — exiting non-zero if any
-// invariant breaks.
+// the dynamic write lane (graph deltas applied on the server's writer
+// thread beside reads, with generation-keyed cache invalidation) —
+// exiting non-zero if any invariant breaks.
 //
 //   ./build/examples/serve_demo --serve_requests=96
 //       --serve_queue_capacity=48 --serve_batch=8
 //       --strict_reserve=12 --score_cache_entries=256
 //       --fault_spec='serve.infer@~0.75' --fault_seed=42 --threads=8
 //
-// Run closed-loop (all requests enqueued before the dispatcher starts), so
-// batch composition — and with it every serve counter and score — is
-// bit-identical at any --threads=N for a fixed --fault_seed. The shared
-// runtime flags (--threads, --fault_spec, --fault_seed, --metrics_out,
-// --trace_out) apply as everywhere else; see common/flags.h.
+// Run closed-loop (each wave's requests enqueued before its server
+// starts), so batch composition — and with it every serve counter and
+// score — is bit-identical at any --threads=N for a fixed --fault_seed.
+// The shared runtime flags (--threads, --fault_spec, --fault_seed,
+// --metrics_out, --trace_out) apply as everywhere else; see
+// common/flags.h.
 
 #include <algorithm>
 #include <cmath>
@@ -563,12 +564,19 @@ int main(int argc, char** argv) {
 
   // --- Phase 5: dynamic mutations — write lane + delta invalidation -------
   // Interleaved read/write traffic against a DynamicBackend: segments of
-  // reads separated by graph deltas, all enqueued closed-loop so segment
+  // reads separated by graph deltas. Deltas apply on the server's writer
+  // thread beside the dispatcher, so the demo pins the interleaving the
+  // way a client needing read-your-writes does: it waits on each
+  // segment's reads before submitting the segment's delta, and on the
+  // delta's future before the next segment. Each segment is one
+  // closed-loop wave on its own server over a shared score cache, so batch
   // composition — and with it every score, generation observation, and
-  // cache flush — is bit-identical at any --threads=N. After the last
-  // mutation the first segment's keys are re-read: same keys, newer
-  // generation, so the score cache must flush rather than serve stale
-  // scores.
+  // cache flush — is bit-identical at any --threads=N. The next wave's
+  // server exists before the delta publishes, so, like a long-lived
+  // server, its first batch observes the bump and flushes the cache. After
+  // the last mutation the first segment's keys are re-read: same keys,
+  // newer generation, so the score cache must flush rather than serve
+  // stale scores.
   serve::ServerStats phase5;
   uint64_t mut_digest = 1469598103934665603ULL;  // FNV-1a offset basis
   int64_t final_generation = 0;
@@ -591,34 +599,38 @@ int main(int argc, char** argv) {
     const int reads_per_segment =
         static_cast<int>(flags.GetInt("serve_mutation_segment", 8));
     serve::ServeOptions dyn_serve = options;
-    dyn_serve.queue_capacity =
-        static_cast<size_t>(reads_per_segment) * (deltas.size() + 2) +
-        deltas.size() + 8;
+    dyn_serve.queue_capacity = static_cast<size_t>(reads_per_segment);
     serve::ScoreCache cache(score_cache_entries);
     dyn_serve.shared_score_cache = &cache;
+    auto make_wave = [&] {
+      return std::make_unique<serve::TrustServer>(
+          dyn_serve, &dynamic_backend, &fallback, &dynamic_backend);
+    };
 
-    serve::TrustServer server(dyn_serve, &dynamic_backend, &fallback,
-                              &dynamic_backend);
-    std::vector<std::future<serve::TrustResponse>> read_futures;
-    std::vector<std::future<serve::MutationResponse>> mut_futures;
-    int qi = 0;
-    for (const graph::GraphDelta& delta : deltas) {
-      for (int r = 0; r < reads_per_segment; ++r) {
-        read_futures.push_back(server.Submit(query_at(qi++)));
-      }
-      mut_futures.push_back(server.SubmitMutation(delta));
-    }
-    // Re-read the first segment's keys at the final generation.
-    for (int r = 0; r < reads_per_segment; ++r) {
-      read_futures.push_back(server.Submit(query_at(r)));
-    }
-    server.Start();
     std::vector<serve::TrustResponse> responses;
-    CheckResponses(&read_futures, &responses);
     std::vector<serve::MutationResponse> mut_responses;
-    for (auto& f : mut_futures) mut_responses.push_back(f.get());
-    server.Shutdown();
-    phase5 = server.Stats();
+    std::unique_ptr<serve::TrustServer> wave = make_wave();
+    for (size_t segment = 0; segment <= deltas.size(); ++segment) {
+      // The last wave re-reads the first segment's keys.
+      const int first_query =
+          segment < deltas.size()
+              ? static_cast<int>(segment) * reads_per_segment
+              : 0;
+      std::vector<std::future<serve::TrustResponse>> read_futures;
+      for (int r = 0; r < reads_per_segment; ++r) {
+        read_futures.push_back(wave->Submit(query_at(first_query + r)));
+      }
+      wave->Start();
+      CheckResponses(&read_futures, &responses);
+      if (segment == deltas.size()) break;
+      std::unique_ptr<serve::TrustServer> next = make_wave();
+      mut_responses.push_back(wave->SubmitMutation(deltas[segment]).get());
+      wave->Shutdown();
+      phase5 = Add(phase5, wave->Stats());
+      wave = std::move(next);
+    }
+    wave->Shutdown();
+    phase5 = Add(phase5, wave->Stats());
 
     int64_t expected_generation = 0;
     for (const auto& m : mut_responses) {

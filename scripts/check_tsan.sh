@@ -14,7 +14,8 @@
 #   - serve_test: the queue/dispatcher hand-off;
 #   - robustness_test: the ensemble fans members out over the pool from
 #     the serving dispatcher;
-#   - dynamic_test: the write lane and the generation probe;
+#   - dynamic_test: the writer thread beside the dispatcher, reads beside
+#     an in-flight apply, and the published-generation probe;
 #   - bench_serve_load, a small fault-injected hot-key mix: the coalescing
 #     map and the shared score cache under overload.
 set -eu

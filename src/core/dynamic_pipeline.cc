@@ -99,7 +99,28 @@ Result<DynamicTrustPipeline> DynamicTrustPipeline::Create(
   p.ws_ = std::make_unique<tensor::Workspace>();
   p.model_->InferUsersCached(p.ws_.get());
   p.ws_->Reset();
+  p.published_ = std::make_unique<Published>();
+  p.published_->generation.store(p.store_->generation(),
+                                 std::memory_order_release);
   return p;
+}
+
+std::vector<float> DynamicTrustPipeline::PredictProbabilities(
+    const std::vector<data::TrustPair>& pairs) {
+  std::lock_guard<std::mutex> lock(published_->mu);
+  return predictor_->PredictProbabilities(pairs);
+}
+
+Status DynamicTrustPipeline::Publish(const std::vector<int>& users,
+                                     const tensor::Matrix& rows) {
+  std::lock_guard<std::mutex> lock(published_->mu);
+  // Published even when the patch fails part-way: the rows may already
+  // have moved, and the new generation makes the serving caches drop
+  // every score of the old one.
+  Status patched = predictor_->RefreshPlanRows(users, rows);
+  published_->generation.store(store_->generation(),
+                               std::memory_order_release);
+  return patched;
 }
 
 Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
@@ -228,7 +249,9 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
 
   if (!structural && dirty_feature_rows.empty()) {
     // Nothing derived changed (all-ignored or attribute-only-features
-    // rating delta); the generation bump alone flushes serving caches.
+    // rating delta); publishing the generation bump alone flushes serving
+    // caches.
+    AHNTP_RETURN_IF_ERROR(Publish({}, tensor::Matrix()));
     return outcome;
   }
 
@@ -275,9 +298,9 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
   }
 
   // Plan tables: patch only the dirty rows (fp32 memcpy / int8 per-row
-  // requantize; sharded plans re-spill only the dirty shards).
-  AHNTP_RETURN_IF_ERROR(predictor_->RefreshPlanRows(
-      refresh.dirty_users, refresh.dirty_embeddings));
+  // requantize; sharded plans re-spill only the dirty shards) and publish.
+  AHNTP_RETURN_IF_ERROR(
+      Publish(refresh.dirty_users, refresh.dirty_embeddings));
   observe_stage("dynamic.apply.plan_seconds");
 
   AHNTP_METRIC_COUNT("dynamic.apply.dirty_users",

@@ -1,7 +1,9 @@
 #ifndef AHNTP_CORE_DYNAMIC_PIPELINE_H_
 #define AHNTP_CORE_DYNAMIC_PIPELINE_H_
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -79,8 +81,22 @@ struct DeltaOutcome {
 /// derived structure untouched, so the pipeline stays consistent at the
 /// previous generation.
 ///
-/// Not thread-safe; the serving layer applies deltas between batches on
-/// its dispatcher thread. generation() is safe from any thread.
+/// Publication: everything up to the encoder refresh runs on state the
+/// read path never touches (store, motifs, influence, hypergroups, the
+/// model's activation caches). The delta becomes visible in one short
+/// step under a publish mutex: the plan-row patch, then the store of the
+/// *published* generation. generation() reports that published value, so
+/// a reader that sees generation g scores rows of generation >= g — a new
+/// generation is never paired with old rows. A rolled-back delta publishes
+/// nothing.
+///
+/// Threads: one thread at a time may call ApplyDelta (the server's writer).
+/// PredictProbabilities and generation() are safe from any thread,
+/// concurrently with ApplyDelta, once the predictor's plan is built
+/// (WarmInferencePlan; serve::DynamicBackend does it at construction).
+/// Every other accessor — predictor(), model(), store(), the hypergroups,
+/// RebuildFromScratch — reads state the cascade writes, so it must not
+/// overlap an ApplyDelta.
 class DynamicTrustPipeline {
  public:
   /// Builds the full stack from `dataset` and primes the encoder's
@@ -105,9 +121,18 @@ class DynamicTrustPipeline {
   /// against a cold solve at testing tolerance (tests/dynamic_test.cc).
   Result<DynamicTrustPipeline> RebuildFromScratch() const;
 
-  /// The store's monotonic generation — the serving cache key. Safe from
-  /// any thread.
-  int64_t generation() const { return store_->generation(); }
+  /// Scores `pairs` through the predictor's plan under the publish mutex,
+  /// so the batch sees one published generation's rows. The read path of
+  /// serve::DynamicBackend.
+  std::vector<float> PredictProbabilities(
+      const std::vector<data::TrustPair>& pairs);
+
+  /// The published generation — the serving cache key. It advances after
+  /// the plan rows of a delta are patched (the store's own counter moves
+  /// earlier, at store apply). Safe from any thread.
+  int64_t generation() const {
+    return published_->generation.load(std::memory_order_acquire);
+  }
 
   models::TrustPredictor& predictor() { return *predictor_; }
   const models::TrustPredictor& predictor() const { return *predictor_; }
@@ -136,7 +161,17 @@ class DynamicTrustPipeline {
   }
 
  private:
+  /// What readers synchronize on; boxed so the pipeline stays movable.
+  struct Published {
+    std::mutex mu;
+    std::atomic<int64_t> generation{0};
+  };
+
   DynamicTrustPipeline() = default;
+
+  /// The publish step: patches `rows` into the plan and then advances the
+  /// published generation to the store's, both under the publish mutex.
+  Status Publish(const std::vector<int>& users, const tensor::Matrix& rows);
 
   DynamicPipelineOptions options_;
   data::SocialDataset dataset_;
@@ -159,6 +194,7 @@ class DynamicTrustPipeline {
   std::shared_ptr<AhntpModel> model_;
   std::unique_ptr<models::TrustPredictor> predictor_;
   std::unique_ptr<tensor::Workspace> ws_;
+  std::unique_ptr<Published> published_;
 };
 
 }  // namespace ahntp::core

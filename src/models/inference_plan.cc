@@ -1,9 +1,11 @@
 #include "models/inference_plan.h"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -124,6 +126,31 @@ uint32_t ReadU32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+/// Removes every `plan_<pid>_*` directory under `spill_dir` whose process
+/// is gone (kill(pid, 0) fails with ESRCH): a process that died without
+/// running plan destructors leaves its blocks behind. Directories of live
+/// processes, this one included, and anything not named like a plan
+/// directory are left alone. Best effort: listing errors are ignored.
+void RemoveDeadPlanDirs(const std::string& spill_dir) {
+  std::error_code ec;
+  std::filesystem::directory_iterator it(spill_dir, ec);
+  if (ec) return;
+  for (const std::filesystem::directory_entry& entry : it) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("plan_", 0) != 0) continue;
+    const size_t end = name.find('_', 5);
+    if (end == std::string::npos || end == 5) continue;
+    const std::string digits = name.substr(5, end - 5);
+    if (digits.size() > 9 ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    const pid_t pid = static_cast<pid_t>(std::stoll(digits));
+    if (pid <= 0 || ::kill(pid, 0) == 0 || errno != ESRCH) continue;
+    std::filesystem::remove_all(entry.path(), ec);
+  }
 }
 
 }  // namespace
@@ -386,6 +413,7 @@ InferencePlan::InferencePlan(TrustPredictor* predictor,
     spill_dir_ =
         options_.spill_dir + "/plan_" + std::to_string(::getpid()) + "_" +
         std::to_string(plan_counter.fetch_add(1, std::memory_order_relaxed));
+    RemoveDeadPlanDirs(options_.spill_dir);
   }
 }
 

@@ -43,7 +43,8 @@ struct ShardedPlanOptions {
   /// Otherwise each plan spills its blocks into its own `plan_<pid>_<n>`
   /// subdirectory (created on first spill), so a staged reload never
   /// clobbers the live plan's blocks, and removes that subdirectory when
-  /// it is destroyed.
+  /// it is destroyed. Creating a plan also removes the `plan_<pid>_*`
+  /// siblings of processes that no longer exist.
   std::string spill_dir;
 };
 

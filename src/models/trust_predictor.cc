@@ -57,23 +57,26 @@ TrustPredictor::PairOutput TrustPredictor::Forward(
 
 std::vector<float> TrustPredictor::PredictProbabilities(
     const std::vector<data::TrustPair>& pairs) {
-  bool was_training = training();
-  SetTraining(false);
+  // The flags are toggled only when set: an eval-mode read then writes
+  // nothing in the module tree, which a delta cascade may be refreshing on
+  // another thread (core/dynamic_pipeline.h).
+  const bool was_training = training();
+  if (was_training) SetTraining(false);
   // Spill-file I/O errors are environment failures, not model state; fail
   // loudly rather than serve from a half-resident store.
   auto probs = plan_->Score(pairs);
   AHNTP_CHECK_OK(probs.status());
-  SetTraining(was_training);
+  if (was_training) SetTraining(true);
   return std::move(probs).value();
 }
 
 std::vector<float> TrustPredictor::PredictProbabilitiesWithInputDropout(
     const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed) {
-  bool was_training = training();
-  SetTraining(false);
+  const bool was_training = training();
+  if (was_training) SetTraining(false);
   auto probs = plan_->ScoreWithInputDropout(pairs, rate, seed);
   AHNTP_CHECK_OK(probs.status());
-  SetTraining(was_training);
+  if (was_training) SetTraining(true);
   return std::move(probs).value();
 }
 

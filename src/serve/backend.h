@@ -28,9 +28,10 @@ struct BatchScores {
 };
 
 /// A batch scorer behind the serving loop. Implementations must tolerate
-/// concurrent control-plane calls (e.g. ModelBackend::Reload) against a
-/// single scoring thread, but ScoreBatch itself is only ever invoked from
-/// the server's dispatcher thread.
+/// concurrent control-plane calls (e.g. ModelBackend::Reload, or a
+/// MutationSink apply on the server's writer thread) against a single
+/// scoring thread, but ScoreBatch itself is only ever invoked from the
+/// server's dispatcher thread.
 class ScoreBackend {
  public:
   virtual ~ScoreBackend() = default;

@@ -15,7 +15,9 @@ DynamicBackend::DynamicBackend(core::DynamicTrustPipeline* pipeline)
   AHNTP_CHECK(pipeline_ != nullptr) << "DynamicBackend needs a pipeline";
   // Warm eagerly, like ModelBackend: the dispatcher thread should only
   // ever pay the cached scoring path, and ApplyMutation patches rows into
-  // a *built* plan instead of forcing a full first-use encode.
+  // a *built* plan instead of forcing a full first-use encode. A built plan
+  // is also what lets reads run beside an apply: scoring then never
+  // touches the encoder the cascade is refreshing.
   pipeline_->predictor().WarmInferencePlan();
 }
 
@@ -24,8 +26,7 @@ Result<std::vector<float>> DynamicBackend::ScoreBatch(
   AHNTP_RETURN_IF_ERROR(
       fault::FaultPoint("serve.infer", StatusCode::kUnavailable));
   trace::TraceSpan span("serve.infer");
-  std::vector<float> probs =
-      pipeline_->predictor().PredictProbabilities(pairs);
+  std::vector<float> probs = pipeline_->PredictProbabilities(pairs);
   if (fault::ShouldInject("serve.nan")) {
     probs[0] = std::nanf("");
   }

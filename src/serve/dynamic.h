@@ -17,12 +17,18 @@ namespace ahntp::serve {
 /// that patches motif counts, influence, hypergroups, activation caches,
 /// and plan rows instead of rebuilding.
 ///
-/// generation() is the *graph* generation: every applied delta bumps it,
-/// so the server's generation-keyed score cache and coalescing map drop
-/// stale scores exactly at mutation boundaries. The store's generation is
-/// an atomic, so the Submit fast path may probe it from any thread; the
-/// apply itself happens only on the dispatcher thread (between batch
-/// segments), which is the thread-model contract of MutationSink.
+/// generation() is the pipeline's *published* graph generation: every
+/// applied delta advances it once its plan rows are patched, so the
+/// server's generation-keyed score cache and coalescing map drop stale
+/// scores as soon as a delta becomes visible. It is an atomic, so the
+/// Submit fast path may probe it from any thread.
+///
+/// Threads: ApplyMutation runs on the server's writer thread while
+/// ScoreBatch runs on the dispatcher. The cascade works on state scoring
+/// never reads; only the short publish step (plan-row patch, then the
+/// generation store) shares a mutex with ScoreBatch, so a read waits at
+/// most for that patch, never for the cascade, and always scores one
+/// published generation's rows.
 ///
 /// Shares ModelBackend's fault sites — "serve.infer" (transient
 /// Unavailable, the retry path) and "serve.nan" (poisons the first score,
@@ -41,7 +47,8 @@ class DynamicBackend : public ScoreBackend, public MutationSink {
 
   std::string name() const override { return "dynamic"; }
 
-  /// The mutable store's generation (atomic; callable from any thread).
+  /// The pipeline's published generation (atomic; callable from any
+  /// thread).
   int64_t generation() const override;
 
   Result<graph::DeltaReceipt> ApplyMutation(

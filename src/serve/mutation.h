@@ -19,25 +19,29 @@ struct MutationResponse {
   /// What the apply actually did (applied edge lists, ignored counts, the
   /// new generation). Default-constructed on failure.
   graph::DeltaReceipt receipt;
-  /// The backend generation after this mutation; reads submitted after the
-  /// response resolves and served from a later batch segment see at least
-  /// this generation. 0 on failure.
+  /// The backend generation this mutation published; reads submitted after
+  /// the response resolves see at least this generation (read-your-writes
+  /// is waiting on this future). 0 on failure.
   int64_t generation = 0;
-  /// Submit-to-applied wall time (queue wait + apply cascade).
+  /// Submit-to-published wall time (write-queue wait + apply cascade).
   double latency_ms = 0.0;
 };
 
 /// The write side of a servable backend: applies one graph delta through
 /// whatever incremental maintenance the backend keeps (see DynamicBackend).
-/// Only ever invoked from the server's dispatcher thread, between read
-/// segments, so implementations need no internal locking against reads.
+/// Called from the server's single writer thread — never concurrently with
+/// itself, but concurrently with ScoreBatch on the dispatcher. An
+/// implementation must therefore make a delta visible to reads atomically:
+/// a read scores either wholly before or wholly after it, and generation()
+/// must never pair a new generation with old scores.
 class MutationSink {
  public:
   virtual ~MutationSink() = default;
 
-  /// Applies `delta`; on success the receipt reports the real membership
-  /// changes and the new generation. On failure the sink must be unchanged
-  /// (previous generation included) so cached scores stay sound.
+  /// Applies `delta` and publishes it; on success the receipt reports the
+  /// real membership changes and the new generation. On failure the sink
+  /// must publish nothing (reads keep the previous generation and scores)
+  /// so cached scores stay sound.
   virtual Result<graph::DeltaReceipt> ApplyMutation(
       const graph::GraphDelta& delta) = 0;
 };

@@ -1,5 +1,9 @@
 #include "serve/server.h"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -46,6 +50,34 @@ void ObserveLatency(double latency_ms) {
   }
 }
 
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int CurrentCpu() {
+#ifdef __linux__
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// Drops `cpu` from the calling thread's CPU mask when the mask holds
+/// another CPU. The writer calls it with the CPU Start() ran on, where the
+/// dispatcher starts: Linux may start both threads there, and since
+/// neither stays runnable the load balancer may never separate them. A
+/// saturated dispatcher then halves the writer's share (on a 4-vCPU VM
+/// with three server CPUs, a closed read loop stretched each apply from
+/// ~80 ms to ~170 ms).
+void LeaveCpu(int cpu) {
+#ifdef __linux__
+  cpu_set_t mask;
+  if (cpu < 0 || sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  if (!CPU_ISSET(cpu, &mask) || CPU_COUNT(&mask) < 2) return;
+  CPU_CLR(cpu, &mask);
+  sched_setaffinity(0, sizeof(mask), &mask);
+#else
+  (void)cpu;
+#endif
+}
+
 }  // namespace
 
 TrustServer::TrustServer(const ServeOptions& options, ScoreBackend* primary,
@@ -60,6 +92,7 @@ TrustServer::TrustServer(const ServeOptions& options, ScoreBackend* primary,
         return resolved;
       }()),
       queue_(options.queue_capacity),
+      writes_(options.queue_capacity),
       breaker_(options.breaker) {
   AHNTP_CHECK(primary_ != nullptr) << "TrustServer needs a primary backend";
   AHNTP_CHECK_GT(options_.max_batch_size, 0u);
@@ -161,30 +194,21 @@ std::future<MutationResponse> TrustServer::SubmitMutation(
     graph::GraphDelta delta) {
   stats_.mutations_submitted.fetch_add(1, std::memory_order_relaxed);
   AHNTP_METRIC_COUNT("serve.mutations_submitted", 1);
-  Request request;
-  request.is_mutation = true;
-  request.mutation = std::move(delta);
-  std::future<MutationResponse> future =
-      request.mutation_promise.get_future();
-  if (mutations_ == nullptr) {
-    stats_.mutations_rejected.fetch_add(1, std::memory_order_relaxed);
-    AHNTP_METRIC_COUNT("serve.mutations_rejected", 1);
-    MutationResponse response;
-    response.status =
-        Status::FailedPrecondition("no mutation sink configured");
-    request.mutation_promise.set_value(std::move(response));
-    return future;
-  }
-  // The write lane is admitted at full queue capacity — mutations are
-  // never shed by a read lane's limit, never coalesced, and never served
-  // from the cache.
-  Status pushed = queue_.TryPush(request);
+  WriteRequest request;
+  request.delta = std::move(delta);
+  std::future<MutationResponse> future = request.promise.get_future();
+  // The write queue has its own capacity: mutations are never shed by a
+  // read lane's limit, never coalesced, and never served from the cache.
+  const Status pushed =
+      mutations_ == nullptr
+          ? Status::FailedPrecondition("no mutation sink configured")
+          : writes_.TryPush(request);
   if (!pushed.ok()) {
     stats_.mutations_rejected.fetch_add(1, std::memory_order_relaxed);
     AHNTP_METRIC_COUNT("serve.mutations_rejected", 1);
     MutationResponse response;
     response.status = pushed;
-    request.mutation_promise.set_value(std::move(response));
+    request.promise.set_value(std::move(response));
   }
   return future;
 }
@@ -192,31 +216,42 @@ std::future<MutationResponse> TrustServer::SubmitMutation(
 void TrustServer::Start() {
   AHNTP_CHECK(!started_) << "TrustServer started twice";
   started_ = true;
+  const int dispatcher_cpu = CurrentCpu();
   dispatcher_ = std::thread([this] { DispatchLoop(); });
+  if (mutations_ == nullptr) return;
+  writer_ = std::thread([this, dispatcher_cpu] {
+    LeaveCpu(dispatcher_cpu);
+    WriteLoop();
+  });
 }
 
 void TrustServer::Shutdown() {
   queue_.Close();
+  writes_.Close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Never started: drain whatever sits in the queue so every future
+  if (writer_.joinable()) writer_.join();
+  // Never started: drain whatever sits in the queues so every future
   // completes (coalesced followers ride their leader's fan-out).
   std::vector<Request> leftover;
   while (queue_.PopBatch(&leftover, options_.max_batch_size) > 0) {
     for (Request& request : leftover) {
-      if (request.is_mutation) {
-        MutationResponse response;
-        response.status = Status::FailedPrecondition("server shut down");
-        response.latency_ms = request.queued.ElapsedMillis();
-        stats_.mutations_failed.fetch_add(1, std::memory_order_relaxed);
-        request.mutation_promise.set_value(std::move(response));
-        continue;
-      }
       TrustResponse response;
       response.status = Status::FailedPrecondition("server shut down");
       stats_.failed.fetch_add(1, std::memory_order_relaxed);
       Complete(&request, std::move(response));
     }
     leftover.clear();
+  }
+  std::vector<WriteRequest> unapplied;
+  while (writes_.PopBatch(&unapplied, options_.max_batch_size) > 0) {
+    for (WriteRequest& request : unapplied) {
+      MutationResponse response;
+      response.status = Status::FailedPrecondition("server shut down");
+      response.latency_ms = request.queued.ElapsedMillis();
+      stats_.mutations_failed.fetch_add(1, std::memory_order_relaxed);
+      request.promise.set_value(std::move(response));
+    }
+    unapplied.clear();
   }
 }
 
@@ -261,6 +296,14 @@ void TrustServer::DispatchLoop() {
   std::vector<Request> batch;
   while (queue_.PopBatch(&batch, options_.max_batch_size) > 0) {
     ProcessBatch(&batch);
+    batch.clear();
+  }
+}
+
+void TrustServer::WriteLoop() {
+  std::vector<WriteRequest> batch;
+  while (writes_.PopBatch(&batch, options_.max_batch_size) > 0) {
+    for (WriteRequest& request : batch) ApplyMutationRequest(&request);
     batch.clear();
   }
 }
@@ -333,39 +376,17 @@ void TrustServer::Complete(Request* request, TrustResponse response) {
   request->promise.set_value(std::move(response));
 }
 
-void TrustServer::ProcessBatch(std::vector<Request>* batch) {
-  // Mutations partition the popped batch into read segments. Reads ahead
-  // of a mutation score against the pre-delta generation, reads behind it
-  // against the post-delta one — the interleaving is exactly the queue
-  // order, so a fixed submission sequence yields a fixed read/write
-  // schedule at any thread count. A mutation-free batch takes the
-  // single-segment path, byte-identical to the pre-write-lane server.
-  std::vector<Request*> segment;
-  segment.reserve(batch->size());
-  for (Request& request : *batch) {
-    if (request.is_mutation) {
-      if (!segment.empty()) {
-        ProcessReadSegment(segment);
-        segment.clear();
-      }
-      ApplyMutationRequest(&request);
-      continue;
-    }
-    segment.push_back(&request);
-  }
-  if (!segment.empty()) ProcessReadSegment(segment);
-}
-
-void TrustServer::ApplyMutationRequest(Request* request) {
+void TrustServer::ApplyMutationRequest(WriteRequest* request) {
   trace::TraceSpan span("serve.mutation");
   MutationResponse response;
   Result<graph::DeltaReceipt> applied =
-      mutations_->ApplyMutation(request->mutation);
+      mutations_->ApplyMutation(request->delta);
   if (applied.ok()) {
     response.receipt = std::move(applied).value();
     // The backend generation, not the receipt's store generation: the
-    // contract is "reads served after this response see at least this
-    // generation", and the backend is what reads observe.
+    // contract is "reads submitted after this response see at least this
+    // generation", and the backend is what reads observe. This thread is
+    // the only writer, so nothing newer can have been published yet.
     response.generation = primary_->generation();
     stats_.mutations_applied.fetch_add(1, std::memory_order_relaxed);
     AHNTP_METRIC_COUNT("serve.mutations_applied", 1);
@@ -381,10 +402,10 @@ void TrustServer::ApplyMutationRequest(Request* request) {
     metrics::GetHistogram("serve.mutation_latency_seconds")
         .Observe(response.latency_ms * 1e-3);
   }
-  request->mutation_promise.set_value(std::move(response));
+  request->promise.set_value(std::move(response));
 }
 
-void TrustServer::ProcessReadSegment(const std::vector<Request*>& segment) {
+void TrustServer::ProcessBatch(std::vector<Request>* batch) {
   trace::TraceSpan span("serve.batch");
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
   AHNTP_METRIC_COUNT("serve.batches", 1);
@@ -392,15 +413,18 @@ void TrustServer::ProcessReadSegment(const std::vector<Request*>& segment) {
     metrics::GetGauge("serve.queue_depth")
         .Set(static_cast<double>(queue_.size()));
     metrics::GetHistogram("serve.batch_size")
-        .Observe(static_cast<double>(segment.size()));
+        .Observe(static_cast<double>(batch->size()));
   }
   const uint64_t batch_key = batch_ordinal_++;
 
-  // One generation observation per segment: a bump since the last segment
-  // (hot reload, training, sharded-plan rebuild, or a write-lane delta
-  // applied at the previous mutation boundary) flushes the cache. The
-  // flush is hygiene — stale entries are already unreachable because the
-  // generation is part of every key.
+  // One generation observation per batch: a bump since the last batch
+  // (hot reload, training, sharded-plan rebuild, or a delta the writer
+  // published meanwhile) flushes the cache. The flush is hygiene — stale
+  // entries are already unreachable because the generation is part of
+  // every key. A delta published between this observation and the scoring
+  // call below makes the batch score against the newer rows; its cache
+  // fills then sit under the older key, which no request submitted after
+  // the publish can look up.
   const int64_t generation = primary_->generation();
   if (cache_ != nullptr && generation != cache_generation_) {
     cache_->Flush();
@@ -417,9 +441,10 @@ void TrustServer::ProcessReadSegment(const std::vector<Request*>& segment) {
   std::vector<data::TrustPair> pairs;
   std::vector<Request*> downgraded;
   std::vector<data::TrustPair> downgraded_pairs;
-  live.reserve(segment.size());
-  pairs.reserve(segment.size());
-  for (Request* request : segment) {
+  live.reserve(batch->size());
+  pairs.reserve(batch->size());
+  for (Request& slot : *batch) {
+    Request* request = &slot;
     if (request->query.deadline.Expired()) {
       TrustResponse response;
       response.status =

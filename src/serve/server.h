@@ -76,7 +76,8 @@ struct TrustResponse {
 
 struct ServeOptions {
   /// Bounded request queue; Submit rejects with ResourceExhausted beyond
-  /// this — explicit backpressure, never unbounded growth.
+  /// this — explicit backpressure, never unbounded growth. The write queue
+  /// (SubmitMutation) has the same capacity of its own.
   size_t queue_capacity = 256;
   /// Requests scored per inference batch.
   size_t max_batch_size = 32;
@@ -170,16 +171,20 @@ struct ServerStats {
 /// seed, so a closed-loop run (enqueue everything, then Start) yields
 /// bit-identical counters and scores at any --threads=N.
 ///
-/// Writes ride the same FIFO through a dedicated lane: SubmitMutation()
-/// enqueues a graph delta that the dispatcher applies *between* read
-/// segments — a batch containing mutations is split at each mutation
-/// boundary, reads before the boundary score against the pre-delta
-/// generation and reads after it against the post-delta one. Each segment
-/// re-observes the backend generation, so an applied delta flushes the
-/// score cache through the existing generation key. With a fixed
-/// submission order (closed-loop: enqueue everything, then Start) the
-/// interleaving is part of the queue order, so mixed read/write runs stay
-/// bit-identical at any --threads=N.
+/// Writes take their own lane: SubmitMutation() enqueues a graph delta on
+/// a separate FIFO write queue, drained by one writer thread that exists
+/// only when a MutationSink is configured (also spawned by Start(), so it
+/// inherits the dispatcher's CPU mask; when that mask holds more than one
+/// CPU the writer leaves the one Start() ran on to the dispatcher). The
+/// writer applies deltas one at a time, in submission order, concurrently
+/// with the dispatcher's scoring — a read never waits behind an apply
+/// cascade. The contract: a read sees the newest generation the backend
+/// has published when its batch is scored, and each batch re-observes the
+/// generation, so a published delta flushes the score cache through the
+/// existing generation key. A client that needs read-your-writes waits on
+/// the mutation's future before submitting the read; that is also how a
+/// mixed read/write run pins its interleaving (and so stays bit-identical
+/// at any --threads=N).
 ///
 /// The server does not own its backends: `primary` (and optional
 /// `fallback`/`mutations`) must outlive it, which lets a demo hot-reload
@@ -202,23 +207,24 @@ class TrustServer {
   /// lane's admission limit is exhausted / the server is shut down.
   std::future<TrustResponse> Submit(const TrustQuery& query);
 
-  /// Enqueues a graph delta on the write lane; never blocks. Mutations are
-  /// admitted up to full queue capacity (they are never shed by a read
-  /// lane's limit), never coalesced, cached, or downgraded, and are applied
-  /// in FIFO order on the dispatcher thread between read segments. The
-  /// future always completes: with the apply receipt, or with
-  /// ResourceExhausted (queue full) / FailedPrecondition (no sink, or the
-  /// server shut down before the delta was applied).
+  /// Enqueues a graph delta on the write lane; never blocks. The write
+  /// queue has `queue_capacity` slots of its own; mutations are never shed
+  /// by a read lane's limit, never coalesced, cached, or downgraded, and
+  /// are applied in FIFO order on the writer thread. The future resolves
+  /// once the delta is published (or failed): with the apply receipt, or
+  /// with ResourceExhausted (write queue full) / FailedPrecondition (no
+  /// sink, or the server shut down without ever starting).
   std::future<MutationResponse> SubmitMutation(graph::GraphDelta delta);
 
-  /// Spawns the dispatcher. Submitting before Start() is allowed (the
-  /// queue buffers up to capacity) and is how deterministic closed-loop
-  /// runs pin their batch composition.
+  /// Spawns the dispatcher, and the writer when a sink is configured.
+  /// Submitting before Start() is allowed (the queues buffer up to
+  /// capacity) and is how deterministic closed-loop runs pin their batch
+  /// composition.
   void Start();
 
-  /// Closes the queue, drains every pending request to a terminal
-  /// response, and joins the dispatcher. Idempotent; called by the
-  /// destructor.
+  /// Closes both queues, drains every pending request to a terminal
+  /// response (a started writer still applies every queued delta), and
+  /// joins the threads. Idempotent; called by the destructor.
   void Shutdown();
 
   size_t queue_depth() const { return queue_.size(); }
@@ -249,24 +255,20 @@ class TrustServer {
     /// the same key attach to `group`.
     ScoreKey key;
     std::shared_ptr<CoalesceGroup> group;  // null unless coalescing
-    /// Write-lane payload: when set, `mutation`/`mutation_promise` carry
-    /// the request and every read field above is ignored.
-    bool is_mutation = false;
-    graph::GraphDelta mutation;
-    std::promise<MutationResponse> mutation_promise;
+  };
+
+  struct WriteRequest {
+    graph::GraphDelta delta;
+    std::promise<MutationResponse> promise;
+    Stopwatch queued;
   };
 
   void DispatchLoop();
-  /// Splits the popped batch into read segments at mutation boundaries:
-  /// each segment runs the full read path (its own generation observation,
-  /// breaker decision, retry loop), and each boundary applies its delta on
-  /// this thread before the next segment starts.
+  /// The read path for one popped batch: one generation observation,
+  /// breaker decision, and retry loop.
   void ProcessBatch(std::vector<Request>* batch);
-  /// The read path for one mutation-free segment (the entire batch when no
-  /// mutations are queued — behaviour then is byte-identical to the
-  /// pre-write-lane server).
-  void ProcessReadSegment(const std::vector<Request*>& segment);
-  void ApplyMutationRequest(Request* request);
+  void WriteLoop();
+  void ApplyMutationRequest(WriteRequest* request);
   /// Scores `live` on the fallback (degraded=true) or, without one,
   /// completes everything with `reason`. The abstain path passes the
   /// rejected primary confidences (parallel to `live`; null otherwise) so
@@ -289,6 +291,7 @@ class TrustServer {
   MutationSink* mutations_;  // nullable; write lane disabled when null
   AdmissionController admission_;
   BoundedQueue<Request> queue_;
+  BoundedQueue<WriteRequest> writes_;
   CircuitBreaker breaker_;  // dispatcher-thread only
   std::unique_ptr<ScoreCache> owned_cache_;
   ScoreCache* cache_ = nullptr;  // nullable; owned_cache_ or shared
@@ -297,12 +300,13 @@ class TrustServer {
   std::unordered_map<ScoreKey, std::shared_ptr<CoalesceGroup>, ScoreKeyHash>
       inflight_;
   std::thread dispatcher_;
+  std::thread writer_;  // only when mutations_ is set
   bool started_ = false;
   uint64_t batch_ordinal_ = 0;  // dispatcher-thread only; retry jitter key
 
-  /// Counters live in atomics (written by the dispatcher, except the
-  /// submission-side ones by producers) so Stats() is readable from any
-  /// thread while serving.
+  /// Counters live in atomics (written by the dispatcher and the writer,
+  /// except the submission-side ones by producers) so Stats() is readable
+  /// from any thread while serving.
   struct AtomicStats {
     std::atomic<int64_t> submitted{0}, rejected{0}, expired{0}, ok{0},
         degraded{0}, failed{0}, retries{0}, nonfinite{0}, batches{0},

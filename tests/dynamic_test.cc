@@ -2,14 +2,20 @@
 // delta semantics, incremental motif counts and warm-started influence
 // against full recomputation, incremental hypergroup maintenance, the
 // apply(delta) ≡ rebuild-from-scratch equivalence for fp32 and int8
-// inference plans across thread counts, fault-injection rollback, and the
-// serve write lane.
+// inference plans across thread counts, fault-injection rollback, the
+// serve write lane, and reads running beside an in-flight apply.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -440,8 +446,8 @@ TEST_F(DynamicFaultTest, PlanRefreshFaultRevertsStoreAndDerivedState) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve write lane: mutations between read segments, generation-keyed
-// flushes, deterministic interleaving.
+// Serve write lane: deltas applied on the writer thread, generation-keyed
+// flushes, read-your-writes by waiting on the mutation's future.
 // ---------------------------------------------------------------------------
 
 TEST(ServeMutationTest, WriteLaneAppliesBetweenSegments) {
@@ -457,27 +463,29 @@ TEST(ServeMutationTest, WriteLaneAppliesBetweenSegments) {
   options.score_cache_entries = 64;
   serve::TrustServer server(options, &backend, nullptr, &backend);
 
-  // Closed loop: reads, a mutation, more reads, a second mutation.
+  // Reads and a mutation; then, once the mutation's future says it is
+  // published, more reads and a second mutation.
   std::vector<data::TrustPair> pairs = Queries(dataset, 6);
   std::vector<std::future<serve::TrustResponse>> reads;
-  std::vector<std::future<serve::MutationResponse>> writes;
   for (const auto& p : pairs) {
     reads.push_back(server.Submit(MakeQuery(p.src, p.dst)));
   }
-  writes.push_back(server.SubmitMutation(deltas[0]));
-  for (const auto& p : pairs) {
-    reads.push_back(server.Submit(MakeQuery(p.src, p.dst)));
-  }
-  writes.push_back(server.SubmitMutation(deltas[1]));
+  std::future<serve::MutationResponse> first_write =
+      server.SubmitMutation(deltas[0]);
   server.Start();
+  serve::MutationResponse first = first_write.get();
+  for (const auto& p : pairs) {
+    reads.push_back(server.Submit(MakeQuery(p.src, p.dst)));
+  }
+  std::future<serve::MutationResponse> second_write =
+      server.SubmitMutation(deltas[1]);
   server.Shutdown();
 
   for (auto& read : reads) {
     serve::TrustResponse response = read.get();
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   }
-  serve::MutationResponse first = writes[0].get();
-  serve::MutationResponse second = writes[1].get();
+  serve::MutationResponse second = second_write.get();
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   ASSERT_TRUE(second.status.ok()) << second.status.ToString();
   EXPECT_EQ(first.generation, 1);
@@ -488,8 +496,8 @@ TEST(ServeMutationTest, WriteLaneAppliesBetweenSegments) {
   EXPECT_EQ(stats.mutations_submitted, 2);
   EXPECT_EQ(stats.mutations_applied, 2);
   EXPECT_EQ(stats.mutations_failed, 0);
-  // The second read wave hit a fresh generation, so the cache flushed at
-  // least once after the first mutation.
+  // The second read wave was submitted after the first delta published,
+  // so it saw a fresh generation and the cache flushed at least once.
   EXPECT_GE(stats.cache_flushes, 1);
   EXPECT_EQ(stats.ok, static_cast<int64_t>(reads.size()));
 }
@@ -552,6 +560,195 @@ TEST(ServeMutationTest, MutationFaultKeepsPreviousGenerationServing) {
     EXPECT_EQ(read.score, before[i]) << "pair " << i;
   }
   EXPECT_EQ(server.Stats().mutations_failed, 1);
+}
+
+
+// ---------------------------------------------------------------------------
+// Reads beside an in-flight apply: the writer thread never holds up the
+// dispatcher, and a read never pairs a generation with another
+// generation's rows.
+// ---------------------------------------------------------------------------
+
+/// MutationSink decorator that parks the writer inside ApplyMutation until
+/// Release(), holding an apply in flight for as long as a test needs.
+class BlockingSink : public serve::MutationSink {
+ public:
+  explicit BlockingSink(serve::MutationSink* inner) : inner_(inner) {}
+
+  Result<graph::DeltaReceipt> ApplyMutation(const GraphDelta& delta) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return inner_->ApplyMutation(delta);
+  }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  serve::MutationSink* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(ServeMutationTest, ReadsCompleteWhileApplyIsInFlight) {
+  data::SocialDataset dataset = TestDataset();
+  auto pipeline =
+      DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+  serve::DynamicBackend backend(&pipeline);
+  BlockingSink sink(&backend);
+  std::vector<GraphDelta> deltas = TestDeltas(dataset, 1);
+  std::vector<data::TrustPair> pairs = Queries(dataset, 8);
+  const std::vector<float> before =
+      pipeline.predictor().PredictProbabilities(pairs);
+
+  serve::ServeOptions options;
+  options.max_batch_size = 4;
+  serve::TrustServer server(options, &backend, nullptr, &sink);
+  server.Start();
+  std::future<serve::MutationResponse> write =
+      server.SubmitMutation(deltas[0]);
+  sink.WaitEntered();
+  {
+    // Released on every exit path, so a failed assertion cannot leave the
+    // server's Shutdown waiting on a parked thread.
+    struct ReleaseOnExit {
+      BlockingSink* sink;
+      ~ReleaseOnExit() { sink->Release(); }
+    } release{&sink};
+
+    std::vector<std::future<serve::TrustResponse>> reads;
+    for (const auto& p : pairs) {
+      reads.push_back(server.Submit(MakeQuery(p.src, p.dst)));
+    }
+    for (size_t i = 0; i < reads.size(); ++i) {
+      ASSERT_EQ(reads[i].wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "read " << i << " waited behind the in-flight apply";
+      serve::TrustResponse read = reads[i].get();
+      ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+      EXPECT_EQ(read.score, before[i]) << "pair " << i;
+    }
+    EXPECT_EQ(backend.generation(), 0);
+  }
+  serve::MutationResponse response = write.get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.generation, 1);
+  server.Shutdown();
+}
+
+TEST(DynamicConcurrencyTest, ReaderNeverPairsAGenerationWithOtherRows) {
+  data::SocialDataset dataset = TestDataset();
+  const std::vector<GraphDelta> deltas = TestDeltas(dataset, 6);
+  const std::vector<data::TrustPair> probes = Queries(dataset, 24);
+
+  // The oracle: a rebuilt pipeline's scores at every generation.
+  std::map<int64_t, std::vector<float>> oracle;
+  {
+    auto replay =
+        DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+    oracle[replay.generation()] =
+        replay.predictor().PredictProbabilities(probes);
+    for (const GraphDelta& delta : deltas) {
+      ASSERT_TRUE(replay.ApplyDelta(delta).ok());
+      auto rebuilt = replay.RebuildFromScratch();
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      oracle[replay.generation()] =
+          rebuilt->predictor().PredictProbabilities(probes);
+    }
+  }
+  ASSERT_EQ(oracle.size(), deltas.size() + 1);
+
+  auto pipeline =
+      DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+  serve::DynamicBackend backend(&pipeline);
+
+  struct Observation {
+    int64_t before;
+    int64_t after;
+    std::vector<float> scores;
+  };
+  std::vector<Observation> seen;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    do {
+      Observation o;
+      o.before = backend.generation();
+      o.scores = backend.ScoreBatch(probes).value();
+      o.after = backend.generation();
+      seen.push_back(std::move(o));
+      reads.fetch_add(1, std::memory_order_release);
+    } while (!writer_done.load(std::memory_order_acquire));
+  });
+  while (reads.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  for (const GraphDelta& delta : deltas) {
+    ASSERT_TRUE(pipeline.ApplyDelta(delta).ok());
+  }
+  writer_done.store(true, std::memory_order_release);
+  reader.join();
+
+  // A read that saw one generation on both sides of its score scored that
+  // generation's rows exactly. A read that straddled a publish scored the
+  // rows of a generation in [before, after] — never older than `before`.
+  int exact = 0;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    const Observation& o = seen[i];
+    ASSERT_LE(o.before, o.after);
+    if (o.before == o.after) {
+      ++exact;
+      EXPECT_EQ(o.scores, oracle.at(o.before))
+          << "read " << i << " at generation " << o.before;
+      continue;
+    }
+    bool matched = false;
+    for (int64_t g = o.before; g <= o.after && !matched; ++g) {
+      matched = o.scores == oracle.at(g);
+    }
+    EXPECT_TRUE(matched) << "read " << i << " straddling generations "
+                         << o.before << ".." << o.after;
+  }
+  EXPECT_GT(exact, 0);
+  EXPECT_EQ(pipeline.generation(), static_cast<int64_t>(deltas.size()));
+  EXPECT_EQ(backend.ScoreBatch(probes).value(),
+            oracle.at(static_cast<int64_t>(deltas.size())));
+}
+
+TEST_F(DynamicFaultTest, RolledBackDeltaPublishesNothing) {
+  data::SocialDataset dataset = TestDataset();
+  auto pipeline =
+      DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+  serve::DynamicBackend backend(&pipeline);
+  std::vector<data::TrustPair> pairs = Queries(dataset, 16);
+  const std::vector<float> before = backend.ScoreBatch(pairs).value();
+  const GraphDelta delta = TestDeltas(dataset, 1)[0];
+
+  for (const char* site : {"graph.delta.apply", "plan.delta.refresh"}) {
+    ASSERT_TRUE(fault::EnableFromSpec(std::string(site) + "@1").ok());
+    auto failed = backend.ApplyMutation(delta);
+    fault::Disable();
+    EXPECT_FALSE(failed.ok()) << site;
+    EXPECT_EQ(backend.generation(), 0) << site;
+    EXPECT_EQ(pipeline.store().generation(), 0) << site;
+    EXPECT_EQ(backend.ScoreBatch(pairs).value(), before) << site;
+  }
+  ASSERT_TRUE(backend.ApplyMutation(delta).ok());
+  EXPECT_EQ(backend.generation(), 1);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // throughout is *bitwise* parity with the monolithic (K=1) path at every
 // combination of shard count, sharding mode, and thread count.
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -434,6 +435,36 @@ TEST_F(ShardedPlanTest, ScoresBitIdenticalToMonolithicPlan) {
       SetNumThreads(0);
     }
   }
+  fx.predictor->DisableShardedInference();
+}
+
+TEST_F(ShardedPlanTest, PlanCreationRemovesDeadProcessSpillDirs) {
+  // A reaped child's pid names a process that no longer exists.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+
+  const std::filesystem::path root = SpillDir();
+  const std::filesystem::path dead =
+      root / ("plan_" + std::to_string(child) + "_0");
+  const std::filesystem::path live =
+      root / ("plan_" + std::to_string(::getpid()) + "_999");
+  const std::filesystem::path other = root / "not_a_plan_dir";
+  for (const auto& dir : {dead, live, other}) {
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir / "shard_0.emb") << "stale";
+  }
+
+  PredictorFixture fx;
+  models::ShardedPlanOptions plan_opts;
+  plan_opts.num_shards = 2;
+  plan_opts.spill_dir = root.string();
+  fx.predictor->EnableShardedInference(plan_opts);
+
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(live / "shard_0.emb"));
+  EXPECT_TRUE(std::filesystem::exists(other / "shard_0.emb"));
   fx.predictor->DisableShardedInference();
 }
 
