@@ -111,8 +111,7 @@ PointResult RunPoint(size_t users, int shards, size_t dim, int max_resident,
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  auto sharding_result = graph::UserSharding::Create(
-      users, {.num_shards = shards, .mode = graph::ShardingMode::kContiguous});
+  auto sharding_result = graph::UserSharding::Create(users, shards);
   AHNTP_CHECK_OK(sharding_result.status());
   const graph::UserSharding sharding = std::move(sharding_result).value();
 

@@ -8,17 +8,18 @@
 // thread beside reads, with generation-keyed cache invalidation) —
 // exiting non-zero if any invariant breaks.
 //
-//   ./build/examples/serve_demo --serve_requests=96
-//       --serve_queue_capacity=48 --serve_batch=8
-//       --strict_reserve=12 --score_cache_entries=256
-//       --fault_spec='serve.infer@~0.75' --fault_seed=42 --threads=8
+//   ./build/examples/serve_demo --fault_spec='serve.infer@~0.75'
+//       --fault_seed=42 --threads=8
 //
 // Run closed-loop (each wave's requests enqueued before its server
 // starts), so batch composition — and with it every serve counter and
 // score — is bit-identical at any --threads=N for a fixed --fault_seed.
-// The shared runtime flags (--threads, --fault_spec, --fault_seed,
-// --metrics_out, --trace_out) apply as everywhere else; see
-// common/flags.h.
+// The workload is fixed by the named constants below. The shared runtime
+// flags (--threads, --kernel_isa, --fault_spec, --fault_seed,
+// --metrics_out, --trace_out) apply as everywhere else (common/flags.h);
+// --serve_checkpoint sets where the demo writes its checkpoint.
+// tests/serve_golden_test.cc runs this binary and checks its SERVE_ digest
+// lines against tests/golden/serve_digests_<isa>.golden.
 
 #include <algorithm>
 #include <cmath>
@@ -37,7 +38,6 @@
 #include "common/flags.h"
 #include "core/dynamic_pipeline.h"
 #include "core/model_zoo.h"
-#include "core/trainer.h"
 #include "data/features.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -53,6 +53,24 @@
 namespace {
 
 using namespace ahntp;
+
+// The demo's workload. The goldens of tests/serve_golden_test.cc are
+// recorded at these values.
+constexpr double kScale = 0.03;
+constexpr uint64_t kModelSeed = 1;
+constexpr int kRequests = 96;
+constexpr size_t kQueueCapacity = 48;
+constexpr int kExpiredEvery = 8;
+constexpr size_t kStrictReserve = kQueueCapacity / 4;
+constexpr size_t kScoreCacheEntries = 256;
+constexpr size_t kBatchSize = 8;
+constexpr int kRetryAttempts = 3;
+constexpr double kBackoffMs = 0.25;
+constexpr double kBackoffMaxMs = 4.0;
+constexpr int kBreakerThreshold = 2;
+constexpr int kProbeInterval = 3;
+constexpr size_t kMutations = 4;
+constexpr int kReadsPerSegment = 8;
 
 int g_violations = 0;
 
@@ -171,38 +189,21 @@ int main(int argc, char** argv) {
   AHNTP_CHECK_OK(flags.Parse(argc, argv));
   const int threads = ApplyRuntimeFlags(flags);
 
-  const int requests = static_cast<int>(flags.GetInt("serve_requests", 96));
-  const size_t capacity =
-      static_cast<size_t>(flags.GetInt("serve_queue_capacity", 48));
-  const int expired_every =
-      static_cast<int>(flags.GetInt("serve_expired_every", 8));
-  const uint64_t model_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const std::string checkpoint =
       flags.GetString("serve_checkpoint", "/tmp/ahntp_serve_demo.ckpt");
-  const int train_epochs =
-      static_cast<int>(flags.GetInt("serve_train_epochs", 0));
-  const size_t strict_reserve = static_cast<size_t>(flags.GetInt(
-      "strict_reserve", static_cast<int64_t>(capacity) / 4));
-  const size_t score_cache_entries =
-      static_cast<size_t>(flags.GetInt("score_cache_entries", 256));
 
   serve::ServeOptions options;
-  options.queue_capacity = capacity;
-  options.max_batch_size =
-      static_cast<size_t>(flags.GetInt("serve_batch", 8));
-  options.retry.max_attempts =
-      static_cast<int>(flags.GetInt("serve_retry_attempts", 3));
-  options.retry.base_delay_ms = flags.GetDouble("serve_backoff_ms", 0.25);
-  options.retry.max_delay_ms = flags.GetDouble("serve_backoff_max_ms", 4.0);
+  options.queue_capacity = kQueueCapacity;
+  options.max_batch_size = kBatchSize;
+  options.retry.max_attempts = kRetryAttempts;
+  options.retry.base_delay_ms = kBackoffMs;
+  options.retry.max_delay_ms = kBackoffMaxMs;
   options.retry.seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 0));
-  options.breaker.failure_threshold =
-      static_cast<int>(flags.GetInt("serve_breaker_threshold", 2));
-  options.breaker.probe_interval =
-      static_cast<int>(flags.GetInt("serve_probe_interval", 3));
+  options.breaker.failure_threshold = kBreakerThreshold;
+  options.breaker.probe_interval = kProbeInterval;
 
   // --- Model, fallback, and checkpoints -----------------------------------
-  data::GeneratorConfig gen_config =
-      data::GeneratorConfig::CiaoLike(flags.GetDouble("scale", 0.03));
+  data::GeneratorConfig gen_config = data::GeneratorConfig::CiaoLike(kScale);
   data::SocialDataset dataset =
       data::SocialNetworkGenerator(gen_config).Generate();
   data::TrustSplit split = data::MakeSplit(dataset);
@@ -218,8 +219,8 @@ int main(int argc, char** argv) {
 
   // Architecture-identical instances from a fixed seed: the initial model
   // and every hot-reload staging clone.
-  auto make_model = [inputs, model_seed]() mutable {
-    Rng rng(model_seed);
+  auto make_model = [inputs]() mutable {
+    Rng rng(kModelSeed);
     inputs.rng = &rng;
     auto created =
         core::CreatePredictor("AHNTP", inputs, core::AhntpConfig{});
@@ -227,12 +228,6 @@ int main(int argc, char** argv) {
     return std::move(created).value();
   };
   auto initial = make_model();
-  if (train_epochs > 0) {
-    core::TrainerConfig tc;
-    tc.epochs = train_epochs;
-    auto trained = core::Trainer(tc).Fit(initial.get(), split.train_pairs);
-    AHNTP_CHECK(trained.ok()) << trained.status().ToString();
-  }
   AHNTP_CHECK_OK(nn::SaveModule(*initial, checkpoint));
 
   // A corrupt sibling: one bit flipped mid-payload, which the v2 loader's
@@ -250,7 +245,7 @@ int main(int argc, char** argv) {
 
   std::printf("serve_demo: %d requests, queue capacity %zu, batch %zu, "
               "threads %d\n",
-              requests, capacity, options.max_batch_size, threads);
+              kRequests, kQueueCapacity, kBatchSize, threads);
 
   // Deterministic query stream: cycle over the held-out test pairs.
   auto query_at = [&](int i) {
@@ -263,18 +258,18 @@ int main(int argc, char** argv) {
   };
 
   // --- Phase 1: overload backpressure + deadline expiry -------------------
-  // All requests are submitted before Start(), so exactly `capacity` are
-  // accepted and the rest rejected, and every `expired_every`th accepted
+  // All requests are submitted before Start(), so exactly kQueueCapacity
+  // are accepted and the rest rejected, and every kExpiredEvery-th accepted
   // request carries an already-expired deadline.
   serve::ServerStats phase1;
   int expected_expired = 0;
   {
     serve::TrustServer server(options, &primary, &fallback);
     std::vector<std::future<serve::TrustResponse>> futures;
-    for (int i = 0; i < requests; ++i) {
+    for (int i = 0; i < kRequests; ++i) {
       serve::TrustQuery q = query_at(i);
-      if (static_cast<size_t>(i) < capacity &&
-          expired_every > 0 && (i + 1) % expired_every == 0) {
+      if (static_cast<size_t>(i) < kQueueCapacity &&
+          (i + 1) % kExpiredEvery == 0) {
         q.deadline = Deadline::AfterMillis(0);
         ++expected_expired;
       }
@@ -287,9 +282,7 @@ int main(int argc, char** argv) {
     phase1 = server.Stats();
 
     const int expected_rejected =
-        requests > static_cast<int>(capacity)
-            ? requests - static_cast<int>(capacity)
-            : 0;
+        kRequests - static_cast<int>(kQueueCapacity);
     Expect(phase1.rejected == expected_rejected,
            "overload must reject exactly the overflow beyond queue capacity");
     int rejected_seen = 0;
@@ -301,7 +294,7 @@ int main(int argc, char** argv) {
     Expect(phase1.expired == expected_expired,
            "every expired-deadline request must surface DeadlineExceeded");
     std::printf("phase 1 (overload): rejected %lld/%d, expired %lld\n",
-                static_cast<long long>(phase1.rejected), requests,
+                static_cast<long long>(phase1.rejected), kRequests,
                 static_cast<long long>(phase1.expired));
   }
 
@@ -316,12 +309,12 @@ int main(int argc, char** argv) {
     // dispatcher would make batch boundaries — and with them the
     // fault-site alignment — timing-dependent.
     serve::ServeOptions open_options = options;
-    open_options.queue_capacity = static_cast<size_t>(requests) + 8;
+    open_options.queue_capacity = static_cast<size_t>(kRequests) + 8;
     std::vector<serve::TrustResponse> wave1;
     {
       serve::TrustServer server(open_options, &primary, &fallback);
       std::vector<std::future<serve::TrustResponse>> futures;
-      for (int i = 0; i < requests; ++i) {
+      for (int i = 0; i < kRequests; ++i) {
         futures.push_back(server.Submit(query_at(i)));
       }
       server.Start();
@@ -349,7 +342,7 @@ int main(int argc, char** argv) {
     {
       serve::TrustServer server(open_options, &primary, &fallback);
       std::vector<std::future<serve::TrustResponse>> futures;
-      for (int i = 0; i < requests / 2; ++i) {
+      for (int i = 0; i < kRequests / 2; ++i) {
         futures.push_back(server.Submit(query_at(i)));
       }
       server.Start();
@@ -385,9 +378,9 @@ int main(int argc, char** argv) {
   uint64_t lanes_digest = 1469598103934665603ULL;  // FNV-1a offset basis
   {
     serve::ServeOptions lane_options = options;
-    lane_options.admission.strict_reserve = strict_reserve;
+    lane_options.admission.strict_reserve = kStrictReserve;
     lane_options.coalesce = true;
-    serve::ScoreCache cache(score_cache_entries);
+    serve::ScoreCache cache(kScoreCacheEntries);
     lane_options.shared_score_cache = &cache;
 
     auto lane_for = [](int i) {
@@ -407,7 +400,7 @@ int main(int argc, char** argv) {
       return q;
     };
 
-    const int per_wave = 2 * static_cast<int>(capacity);
+    const int per_wave = 2 * static_cast<int>(kQueueCapacity);
     for (int wave = 0; wave < 2; ++wave) {
       serve::TrustServer server(lane_options, &primary, &fallback);
       std::vector<std::future<serve::TrustResponse>> futures;
@@ -480,7 +473,7 @@ int main(int argc, char** argv) {
     fault::Disable();
     std::vector<std::shared_ptr<models::TrustPredictor>> members;
     for (uint64_t m = 0; m < 3; ++m) {
-      Rng rng(model_seed + m);
+      Rng rng(kModelSeed + m);
       models::ModelInputs member_inputs = inputs;
       member_inputs.rng = &rng;
       auto created =
@@ -495,7 +488,7 @@ int main(int argc, char** argv) {
     auto ensemble = std::make_shared<models::SeedEnsemble>(std::move(members),
                                                            ens_options);
 
-    const int per_wave = 2 * static_cast<int>(capacity);
+    const int per_wave = 2 * static_cast<int>(kQueueCapacity);
     std::vector<data::TrustPair> probe_pairs;
     for (int i = 0; i < per_wave; ++i) {
       serve::TrustQuery q = query_at(i);
@@ -510,7 +503,7 @@ int main(int argc, char** argv) {
     serve::ServeOptions conf_options = options;
     conf_options.queue_capacity = static_cast<size_t>(per_wave) + 8;
     conf_options.min_confidence = abstain_threshold;
-    serve::ScoreCache cache(score_cache_entries);
+    serve::ScoreCache cache(kScoreCacheEntries);
     conf_options.shared_score_cache = &cache;
 
     serve::ServerStats waves[2];
@@ -591,16 +584,13 @@ int main(int argc, char** argv) {
     serve::DynamicBackend dynamic_backend(&pipeline.value());
 
     data::DeltaStreamConfig delta_config;
-    delta_config.num_deltas =
-        static_cast<size_t>(flags.GetInt("serve_mutations", 4));
+    delta_config.num_deltas = kMutations;
     std::vector<graph::GraphDelta> deltas =
         data::GenerateTrustDeltas(dataset, delta_config);
 
-    const int reads_per_segment =
-        static_cast<int>(flags.GetInt("serve_mutation_segment", 8));
     serve::ServeOptions dyn_serve = options;
-    dyn_serve.queue_capacity = static_cast<size_t>(reads_per_segment);
-    serve::ScoreCache cache(score_cache_entries);
+    dyn_serve.queue_capacity = static_cast<size_t>(kReadsPerSegment);
+    serve::ScoreCache cache(kScoreCacheEntries);
     dyn_serve.shared_score_cache = &cache;
     auto make_wave = [&] {
       return std::make_unique<serve::TrustServer>(
@@ -614,10 +604,10 @@ int main(int argc, char** argv) {
       // The last wave re-reads the first segment's keys.
       const int first_query =
           segment < deltas.size()
-              ? static_cast<int>(segment) * reads_per_segment
+              ? static_cast<int>(segment) * kReadsPerSegment
               : 0;
       std::vector<std::future<serve::TrustResponse>> read_futures;
-      for (int r = 0; r < reads_per_segment; ++r) {
+      for (int r = 0; r < kReadsPerSegment; ++r) {
         read_futures.push_back(wave->Submit(query_at(first_query + r)));
       }
       wave->Start();
@@ -671,8 +661,8 @@ int main(int argc, char** argv) {
   Expect(accepted == total.expired + total.ok + total.degraded + total.failed,
          "accepted requests must partition into expired+ok+degraded+failed");
 
-  // Deterministic digest lines for scripts/check_serve.sh: counters, then
-  // the first second-wave scores in hexfloat (bit-exact across thread
+  // Deterministic digest lines for tests/serve_golden_test.cc: counters,
+  // then the first second-wave scores in hexfloat (bit-exact across thread
   // counts). Wall-clock fields (latency) are deliberately excluded.
   std::printf(
       "SERVE_SUMMARY {\"submitted\": %lld, \"rejected\": %lld, "

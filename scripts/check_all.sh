@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# The full pre-land gate: tier-1 ctest suite, then the focused sanitizer
-# and observability checks. Usage:
+# The full pre-land gate: tier-1 ctest suite, then the gates that run what
+# ctest cannot (benches and their JSON checks, multi-process determinism
+# diffs, sanitizer builds). Every gate assumes the ctest suite has just
+# passed and does not re-run test binaries. Usage:
 #   scripts/check_all.sh
 #
 # Stops at the first failing stage (each stage's own script reports the
@@ -13,7 +15,6 @@ cd "$(dirname "$0")/.."
 gates=(
   "observability:scripts/check_observability.sh"
   "compiled inference:scripts/check_inference.sh"
-  "serving:scripts/check_serve.sh"
   "serve overload, per-lane digests:scripts/check_serve_load.sh"
   "robustness, abstain gate:scripts/check_robustness.sh"
   "dynamic updates, write lane:scripts/check_dynamic.sh"

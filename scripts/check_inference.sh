@@ -1,24 +1,14 @@
 #!/usr/bin/env bash
-# Compiled-inference gate: the tape-free scoring path must stay bit-identical
-# to the autograd tape, the SIMD kernels must honor the two-tier parity
-# contract against the scalar oracle, int8 quantization must stay inside its
-# tolerance and AUC budget, and the whole path must be allocation-free at
-# steady state and race-free.
-#   - kernel_parity_test: randomized differential tests of every AVX2 kernel
-#     vs the scalar oracle (exact tier bitwise incl. NaN/-0.0 probes, fma
-#     tier to tolerance, thread-count invariance, remainder lanes);
-#   - inference_test: bitwise compiled-vs-tape parity across the full model
-#     zoo at --threads=1/2/8, int8 quantization edge cases, workspace
-#     reuse/reset semantics, the zero-allocation scoring-loop assertion,
-#     and cache invalidation on training steps, checkpoint loads, and
-#     (fault-injected) hot reloads;
-#   - bench_inference: end-to-end parity CHECKs (tape vs compiled,
-#     scalar-vs-AVX2-vs-int8 kernel matrix) and the per-model AUC guard
-#     (|AUC(int8) - AUC(fp32)| <= 0.002), run twice — default ISA and
-#     pinned AHNTP_KERNEL_ISA=scalar — with a JSON schema check on
-#     BENCH_inference.json.
-# kernel_parity_test and inference_test also run under TSan in
-# scripts/check_tsan.sh.
+# Compiled-inference gate, run after tier-1 ctest. The unit-level parity
+# suites run there: kernel_parity_test (every AVX2 kernel vs the scalar
+# oracle; `ctest -L tensor`) and inference_test (compiled-vs-tape parity
+# across the model zoo, int8 edge cases, the zero-allocation scoring loop,
+# plan invalidation; `ctest -L models`). Both also run under TSan in
+# scripts/check_tsan.sh. This gate runs bench_inference: end-to-end parity
+# CHECKs (tape vs compiled, scalar-vs-AVX2-vs-int8 kernel matrix) and the
+# per-model AUC guard (|AUC(int8) - AUC(fp32)| <= 0.002), run twice —
+# default ISA and pinned AHNTP_KERNEL_ISA=scalar — with a JSON schema check
+# on BENCH_inference.json.
 # Usage:
 #   scripts/check_inference.sh [build-dir]   (default: build)
 set -eu
@@ -27,13 +17,7 @@ cd "$(dirname "$0")/.."
 build_dir="${1:-build}"
 cmake -B "$build_dir" -S .
 cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)" \
-      --target kernel_parity_test inference_test bench_inference
-
-echo "########## kernel_parity_test (SIMD vs scalar oracle) ##########"
-"$build_dir/tests/kernel_parity_test"
-
-echo "########## inference_test (parity + quantization + allocations) ##########"
-"$build_dir/tests/inference_test"
+      --target bench_inference
 
 echo "########## bench_inference parity CHECKs (default ISA) ##########"
 # The bench CHECK-fails on any tape/compiled score mismatch, any kernel-row

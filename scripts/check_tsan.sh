@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Builds the concurrency-sensitive binaries with a sanitizer into one tree
-# and runs them. The repo's only TSan stage: the other gate scripts leave
-# their sanitizer runs here. Usage:
-#   scripts/check_tsan.sh [thread|address]   (default: thread)
+# Builds the concurrency-sensitive binaries under ThreadSanitizer into
+# build-threadsan/ and runs them. The repo's only TSan stage: the other
+# gate scripts leave their sanitizer runs here (ASan/UBSan is
+# scripts/check_asan.sh). Usage:
+#   scripts/check_tsan.sh
 #
 #   - parallel_test, matrix_test, csr_test, graph_test, core_test: the
 #     execution substrate (common/parallel.*) and the kernels dispatching
@@ -21,18 +22,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-mode="${1:-thread}"
-case "$mode" in
-  thread|address) ;;
-  *) echo "usage: $0 [thread|address]" >&2; exit 2 ;;
-esac
-
 tests=(parallel_test matrix_test csr_test graph_test core_test
        observability_test serve_test kernel_parity_test inference_test
        sharding_test robustness_test dynamic_test)
 
-build_dir="build-${mode}san"
-cmake -B "$build_dir" -S . -DAHNTP_SANITIZE="$mode" \
+build_dir="build-threadsan"
+cmake -B "$build_dir" -S . -DAHNTP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)" --target \
       "${tests[@]}" bench_serve_load
@@ -44,11 +39,11 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
 status=0
 for t in "${tests[@]}"; do
-  echo "########## $t (AHNTP_SANITIZE=$mode, AHNTP_THREADS=$AHNTP_THREADS) ##########"
+  echo "########## $t (TSan, AHNTP_THREADS=$AHNTP_THREADS) ##########"
   "$build_dir/tests/$t" || status=$?
 done
 
-echo "########## bench_serve_load hot-key fault mix (AHNTP_SANITIZE=$mode) ##########"
+echo "########## bench_serve_load hot-key fault mix (TSan) ##########"
 repo_root="$(pwd)"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT

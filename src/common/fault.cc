@@ -174,10 +174,6 @@ Status FaultPoint(const std::string& site, StatusCode code) {
   return Status::Ok();
 }
 
-Status MaybeIoError(const std::string& site) {
-  return FaultPoint(site, StatusCode::kIoError);
-}
-
 void MaybeThrow(const std::string& site) {
   if (ShouldInject(site)) {
     throw std::runtime_error("injected fault at " + site);

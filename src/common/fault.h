@@ -62,9 +62,6 @@ bool ShouldInject(const std::string& site);
 Status FaultPoint(const std::string& site,
                   StatusCode code = StatusCode::kUnavailable);
 
-/// FaultPoint with kIoError, kept for the PR 2 I/O call sites.
-Status MaybeIoError(const std::string& site);
-
 /// Throws std::runtime_error("injected fault at <site>") when the site
 /// fires.
 void MaybeThrow(const std::string& site);

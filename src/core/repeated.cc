@@ -162,7 +162,8 @@ Status SaveSweepState(const std::string& path, const ExperimentConfig& config,
                       int num_runs, bool vary_split_seed,
                       const std::vector<Result<ExperimentResult>>& runs,
                       const std::vector<uint8_t>& done) {
-  AHNTP_RETURN_IF_ERROR(fault::MaybeIoError("sweep.state.save"));
+  AHNTP_RETURN_IF_ERROR(
+      fault::FaultPoint("sweep.state.save", StatusCode::kIoError));
   std::string contents = HeaderLine(config, num_runs, vary_split_seed);
   contents.push_back('\n');
   for (size_t idx = 0; idx < runs.size(); ++idx) {

@@ -10,68 +10,35 @@
 
 namespace ahntp::graph {
 
-namespace {
-
-/// splitmix64 finalizer — the same mixing the Rng seeds with; good avalanche
-/// so hashed shards are balanced even for adversarial id layouts.
-uint64_t HashUser(uint64_t u) {
-  uint64_t z = u + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-Result<UserSharding> UserSharding::Create(size_t num_users,
-                                          const ShardingOptions& options) {
-  if (options.num_shards <= 0) {
+Result<UserSharding> UserSharding::Create(size_t num_users, int num_shards) {
+  if (num_shards <= 0) {
     return Status::InvalidArgument(
-        StrFormat("num_shards must be positive, got %d", options.num_shards));
+        StrFormat("num_shards must be positive, got %d", num_shards));
   }
   if (num_users == 0) {
     return Status::InvalidArgument("cannot shard zero users");
   }
-  if (static_cast<size_t>(options.num_shards) > num_users) {
+  if (static_cast<size_t>(num_shards) > num_users) {
     return Status::InvalidArgument(
         StrFormat("num_shards=%d exceeds num_users=%zu (empty shards)",
-                  options.num_shards, num_users));
+                  num_shards, num_users));
   }
   UserSharding sharding;
-  sharding.options_ = options;
   sharding.num_users_ = num_users;
   sharding.shard_of_.resize(num_users);
-  sharding.users_.resize(static_cast<size_t>(options.num_shards));
-  const size_t k = static_cast<size_t>(options.num_shards);
-  if (options.mode == ShardingMode::kContiguous) {
-    // Balanced ranges: the first (num_users % k) shards own one extra user.
-    const size_t base = num_users / k;
-    const size_t extra = num_users % k;
-    size_t begin = 0;
-    for (size_t s = 0; s < k; ++s) {
-      size_t size = base + (s < extra ? 1 : 0);
-      for (size_t u = begin; u < begin + size; ++u) {
-        sharding.shard_of_[u] = static_cast<int>(s);
-        sharding.users_[s].push_back(static_cast<int>(u));
-      }
-      begin += size;
+  const size_t k = static_cast<size_t>(num_shards);
+  sharding.users_.resize(k);
+  // Balanced ranges: the first (num_users % k) shards own one extra user.
+  const size_t base = num_users / k;
+  const size_t extra = num_users % k;
+  size_t begin = 0;
+  for (size_t s = 0; s < k; ++s) {
+    size_t size = base + (s < extra ? 1 : 0);
+    for (size_t u = begin; u < begin + size; ++u) {
+      sharding.shard_of_[u] = static_cast<int>(s);
+      sharding.users_[s].push_back(static_cast<int>(u));
     }
-  } else {
-    for (size_t u = 0; u < num_users; ++u) {
-      int s = static_cast<int>(HashUser(u) % k);
-      sharding.shard_of_[u] = s;
-      sharding.users_[static_cast<size_t>(s)].push_back(static_cast<int>(u));
-    }
-    // Hashing can leave a shard empty at small N; that breaks the "every
-    // shard owns someone" invariant the subgraph builders rely on.
-    for (size_t s = 0; s < k; ++s) {
-      if (sharding.users_[s].empty()) {
-        return Status::InvalidArgument(
-            StrFormat("hashed sharding left shard %zu empty for "
-                      "num_users=%zu, num_shards=%zu — use fewer shards",
-                      s, num_users, k));
-      }
-    }
+    begin += size;
   }
   sharding.row_of_.resize(num_users);
   for (const std::vector<int>& owned : sharding.users_) {

@@ -20,22 +20,8 @@ namespace ahntp::graph {
 // today's path exactly and serves as the parity oracle.
 // ---------------------------------------------------------------------------
 
-/// How users map to shards.
-enum class ShardingMode {
-  /// Shard s owns a contiguous id range; ranges differ by at most one user.
-  kContiguous,
-  /// Shard of u = splitmix64(u) % K: decorrelates shard membership from the
-  /// generator's community/id structure (communities are id-clustered only
-  /// by accident of generation order, but adversarial id layouts exist).
-  kHashed,
-};
-
-struct ShardingOptions {
-  int num_shards = 1;
-  ShardingMode mode = ShardingMode::kContiguous;
-};
-
-/// Deterministic user -> shard partition. Immutable once created; every
+/// Deterministic user -> shard partition: shard s owns a contiguous id
+/// range, and ranges differ by at most one user. Immutable once created; every
 /// consumer (generator edge routing, subgraph builders, the sharded
 /// inference plan) derives its layout from the same instance, so shard ids
 /// mean the same thing at every layer.
@@ -44,12 +30,10 @@ class UserSharding {
   /// Rejects non-positive shard counts, zero users, and K > N (which would
   /// manufacture empty shards) with InvalidArgument — degenerate requests
   /// are caller bugs worth surfacing, not silently clamping.
-  static Result<UserSharding> Create(size_t num_users,
-                                     const ShardingOptions& options);
+  static Result<UserSharding> Create(size_t num_users, int num_shards);
 
-  int num_shards() const { return options_.num_shards; }
+  int num_shards() const { return static_cast<int>(users_.size()); }
   size_t num_users() const { return num_users_; }
-  ShardingMode mode() const { return options_.mode; }
 
   /// Shard owning `user`. Precondition: user in [0, num_users).
   int ShardOf(int user) const;
@@ -62,7 +46,6 @@ class UserSharding {
   int RowOf(int user) const;
 
  private:
-  ShardingOptions options_;
   size_t num_users_ = 0;
   std::vector<int> shard_of_;            // per user
   std::vector<int> row_of_;              // per user, index into users_[s]

@@ -450,8 +450,8 @@ Status InferencePlan::EnsureBuilt() {
       calib_ = std::move(calib).value();
     }
   }
-  auto sharding = graph::UserSharding::Create(
-      table.rows(), {.num_shards = options_.num_shards, .mode = options_.mode});
+  auto sharding =
+      graph::UserSharding::Create(table.rows(), options_.num_shards);
   AHNTP_RETURN_IF_ERROR(sharding.status());
   const size_t d = table.cols();
   auto store = std::make_unique<ShardEmbeddingStore>(

@@ -38,7 +38,6 @@ struct ShardedPlanOptions {
   int num_shards = 1;
   /// How many blocks a spilled plan keeps in RAM at once; >= 1 (CHECK).
   int max_resident_shards = 2;
-  graph::ShardingMode mode = graph::ShardingMode::kContiguous;
   /// Empty = the table stays in RAM as one block (num_shards must be 1).
   /// Otherwise each plan spills its blocks into its own `plan_<pid>_<n>`
   /// subdirectory (created on first spill), so a staged reload never

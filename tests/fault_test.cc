@@ -41,7 +41,7 @@ class FaultTest : public ::testing::Test {
 TEST_F(FaultTest, DisabledByDefault) {
   EXPECT_FALSE(fault::Enabled());
   EXPECT_FALSE(fault::ShouldInject("anything"));
-  EXPECT_TRUE(fault::MaybeIoError("anything").ok());
+  EXPECT_TRUE(fault::FaultPoint("anything", StatusCode::kIoError).ok());
   EXPECT_NO_THROW(fault::MaybeThrow("anything"));
   EXPECT_EQ(fault::InjectionCount(), 0);
 }
@@ -110,11 +110,11 @@ TEST_F(FaultTest, ProbabilisticTriggerIsDeterministicInSeed) {
   EXPECT_NE(first, other);
 }
 
-TEST_F(FaultTest, MaybeIoErrorAndMaybeThrow) {
+TEST_F(FaultTest, FaultPointIoErrorAndMaybeThrow) {
   ASSERT_TRUE(fault::EnableFromSpec("io@1,throw@1").ok());
-  Status status = fault::MaybeIoError("io");
+  Status status = fault::FaultPoint("io", StatusCode::kIoError);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(fault::MaybeIoError("io").ok());  // one-shot
+  EXPECT_TRUE(fault::FaultPoint("io", StatusCode::kIoError).ok());  // one-shot
   EXPECT_THROW(fault::MaybeThrow("throw"), std::runtime_error);
   EXPECT_NO_THROW(fault::MaybeThrow("throw"));
 }

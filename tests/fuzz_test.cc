@@ -573,11 +573,7 @@ TEST_P(ShardingFuzzTest, DegenerateRequestsRejectedValidOnesCover) {
     size_t num_users = rng.NextBounded(8);  // 0..7, often < K
     if (rng.NextBounded(4) == 0) num_users += 1000;
     int num_shards = static_cast<int>(rng.NextBounded(12)) - 2;  // -2..9
-    graph::ShardingOptions options;
-    options.num_shards = num_shards;
-    options.mode = rng.NextBounded(2) == 0 ? graph::ShardingMode::kContiguous
-                                           : graph::ShardingMode::kHashed;
-    auto sharding = graph::UserSharding::Create(num_users, options);
+    auto sharding = graph::UserSharding::Create(num_users, num_shards);
     bool degenerate = num_shards <= 0 || num_users == 0 ||
                       static_cast<size_t>(num_shards) > num_users;
     if (degenerate) {
@@ -586,13 +582,7 @@ TEST_P(ShardingFuzzTest, DegenerateRequestsRejectedValidOnesCover) {
       EXPECT_EQ(sharding.status().code(), StatusCode::kInvalidArgument);
       continue;
     }
-    // Hashed partitions may legitimately reject a K that leaves a shard
-    // empty; anything accepted must be a complete, disjoint cover.
-    if (!sharding.ok()) {
-      EXPECT_EQ(sharding.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(options.mode, graph::ShardingMode::kHashed);
-      continue;
-    }
+    ASSERT_TRUE(sharding.ok()) << "N=" << num_users << " K=" << num_shards;
     std::vector<int> seen(num_users, 0);
     for (int k = 0; k < num_shards; ++k) {
       const std::vector<int>& owned = sharding.value().UsersOf(k);

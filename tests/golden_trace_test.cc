@@ -17,25 +17,21 @@
 // (or set AHNTP_UPDATE_GOLDEN=1). The refreshed file is written back into
 // the source tree via AHNTP_SOURCE_DIR.
 
-#include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/fileio.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/trace.h"
 #include "core/experiment.h"
 #include "data/generator.h"
+#include "test_util.h"
 
 namespace ahntp {
 namespace {
-
-bool g_update_golden = false;
 
 std::string GoldenPath() {
   return std::string(AHNTP_SOURCE_DIR) + "/tests/golden/quickstart_trace.golden";
@@ -93,32 +89,7 @@ TEST(GoldenTrace, QuickstartPipelineMatchesGolden) {
   metrics::Disable();
   trace::Disable();
 
-  if (g_update_golden) {
-    ASSERT_TRUE(WriteFileAtomic(GoldenPath(), observed).ok());
-    GTEST_SKIP() << "golden refreshed at " << GoldenPath();
-  }
-  std::string expected;
-  ASSERT_TRUE(ReadFileToString(GoldenPath(), &expected).ok())
-      << "missing golden; run with --update_golden to create it";
-  if (observed != expected) {
-    // Line-level report beats a single giant string diff in gtest output.
-    std::vector<std::string> obs = StrSplit(observed, '\n');
-    std::vector<std::string> exp = StrSplit(expected, '\n');
-    std::string delta;
-    for (size_t i = 0; i < std::max(obs.size(), exp.size()); ++i) {
-      const std::string o = i < obs.size() ? obs[i] : "<missing>";
-      const std::string e = i < exp.size() ? exp[i] : "<missing>";
-      if (o != e) {
-        delta += StrFormat("  line %zu: got \"%s\", want \"%s\"\n", i + 1,
-                           o.c_str(), e.c_str());
-      }
-    }
-    FAIL() << "observability output diverged from golden ("
-           << GoldenPath() << "):\n"
-           << delta
-           << "If the instrumentation change is intentional, refresh with "
-              "--update_golden.";
-  }
+  testing::ExpectMatchesGolden(observed, GoldenPath());
 }
 
 }  // namespace
@@ -126,14 +97,6 @@ TEST(GoldenTrace, QuickstartPipelineMatchesGolden) {
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--update_golden") {
-      ahntp::g_update_golden = true;
-    }
-  }
-  const char* env = std::getenv("AHNTP_UPDATE_GOLDEN");
-  if (env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-    ahntp::g_update_golden = true;
-  }
+  ahntp::testing::ParseUpdateGolden(argc, argv);
   return RUN_ALL_TESTS();
 }

@@ -34,8 +34,6 @@ namespace ahntp {
 namespace {
 
 using graph::Digraph;
-using graph::ShardingMode;
-using graph::ShardingOptions;
 using graph::UserSharding;
 using tensor::CsrMatrix;
 
@@ -70,20 +68,16 @@ Digraph TestGraph(double scale = 0.05) {
   return std::move(graph).value();
 }
 
-/// The parity sweep every sharded component runs under: contiguous and
-/// hashed partitions, K in {1, 3}, threads in {1, 2, 8}.
-std::vector<ShardingOptions> ShardingSweep() {
-  return {{1, ShardingMode::kContiguous},
-          {3, ShardingMode::kContiguous},
-          {3, ShardingMode::kHashed}};
-}
+/// The shard counts every sharded component's parity sweep runs under,
+/// each at threads {1, 2, 8}.
+std::vector<int> ShardingSweep() { return {1, 3}; }
 
 // ---------------------------------------------------------------------------
 // Partitioner
 // ---------------------------------------------------------------------------
 
 TEST(UserShardingTest, ContiguousPartitionIsBalancedAndComplete) {
-  auto sharding = UserSharding::Create(10, {3, ShardingMode::kContiguous});
+  auto sharding = UserSharding::Create(10, 3);
   ASSERT_TRUE(sharding.ok());
   const UserSharding& s = sharding.value();
   // 10 = 4 + 3 + 3; first N % K shards take the extra user.
@@ -96,44 +90,23 @@ TEST(UserShardingTest, ContiguousPartitionIsBalancedAndComplete) {
   }
 }
 
-TEST(UserShardingTest, HashedPartitionCoversEveryUserExactlyOnce) {
-  auto sharding = UserSharding::Create(257, {4, ShardingMode::kHashed});
-  ASSERT_TRUE(sharding.ok());
-  const UserSharding& s = sharding.value();
-  std::vector<int> seen(257, 0);
-  for (int k = 0; k < 4; ++k) {
-    int prev = -1;
-    for (int u : s.UsersOf(k)) {
-      EXPECT_GT(u, prev) << "owned lists must ascend";
-      prev = u;
-      EXPECT_EQ(s.ShardOf(u), k);
-      ++seen[static_cast<size_t>(u)];
-    }
-  }
-  for (int u = 0; u < 257; ++u) EXPECT_EQ(seen[static_cast<size_t>(u)], 1);
-}
-
 TEST(UserShardingTest, DeterministicAcrossInstances) {
-  for (ShardingMode mode :
-       {ShardingMode::kContiguous, ShardingMode::kHashed}) {
-    auto a = UserSharding::Create(100, {5, mode});
-    auto b = UserSharding::Create(100, {5, mode});
-    ASSERT_TRUE(a.ok() && b.ok());
-    for (int u = 0; u < 100; ++u) {
-      EXPECT_EQ(a.value().ShardOf(u), b.value().ShardOf(u));
-    }
+  auto a = UserSharding::Create(100, 5);
+  auto b = UserSharding::Create(100, 5);
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (int u = 0; u < 100; ++u) {
+    EXPECT_EQ(a.value().ShardOf(u), b.value().ShardOf(u));
   }
 }
 
 TEST(UserShardingTest, RejectsDegenerateRequests) {
-  EXPECT_FALSE(UserSharding::Create(10, {0, ShardingMode::kContiguous}).ok());
-  EXPECT_FALSE(UserSharding::Create(10, {-3, ShardingMode::kContiguous}).ok());
-  EXPECT_FALSE(UserSharding::Create(0, {1, ShardingMode::kContiguous}).ok());
+  EXPECT_FALSE(UserSharding::Create(10, 0).ok());
+  EXPECT_FALSE(UserSharding::Create(10, -3).ok());
+  EXPECT_FALSE(UserSharding::Create(0, 1).ok());
   // K > N would manufacture empty shards.
-  EXPECT_FALSE(UserSharding::Create(3, {5, ShardingMode::kContiguous}).ok());
-  EXPECT_FALSE(UserSharding::Create(3, {5, ShardingMode::kHashed}).ok());
+  EXPECT_FALSE(UserSharding::Create(3, 5).ok());
   // Single user, single shard is fine.
-  auto single = UserSharding::Create(1, {1, ShardingMode::kContiguous});
+  auto single = UserSharding::Create(1, 1);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single.value().ShardOf(0), 0);
 }
@@ -144,11 +117,11 @@ TEST(UserShardingTest, RejectsDegenerateRequests) {
 
 TEST(ShardSubgraphTest, LocalIdsAscendAndEdgesMatchGlobal) {
   Digraph graph = TestGraph();
-  for (const ShardingOptions& opts : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), opts);
+  for (int num_shards : ShardingSweep()) {
+    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
     ASSERT_TRUE(sharding.ok());
     size_t owned_total = 0;
-    for (int k = 0; k < opts.num_shards; ++k) {
+    for (int k = 0; k < num_shards; ++k) {
       auto sub_result =
           graph::BuildShardSubgraph(graph, sharding.value(), k, 1);
       ASSERT_TRUE(sub_result.ok());
@@ -185,7 +158,7 @@ TEST(ShardSubgraphTest, LocalIdsAscendAndEdgesMatchGlobal) {
 TEST(ShardSubgraphTest, RejectsBadArguments) {
   Digraph graph = TestGraph();
   auto sharding =
-      UserSharding::Create(graph.num_nodes(), {2, ShardingMode::kContiguous});
+      UserSharding::Create(graph.num_nodes(), 2);
   ASSERT_TRUE(sharding.ok());
   EXPECT_FALSE(graph::BuildShardSubgraph(graph, sharding.value(), -1, 1).ok());
   EXPECT_FALSE(graph::BuildShardSubgraph(graph, sharding.value(), 2, 1).ok());
@@ -204,8 +177,8 @@ TEST(ShardedAnalyticsTest, AdjacencyAndMotifBitwiseAcrossThreads) {
   const CsrMatrix mono_adj = graph.Adjacency();
   const CsrMatrix mono_motif =
       graph::MotifAdjacency(mono_adj, graph::Motif::kM6);
-  for (const ShardingOptions& opts : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), opts);
+  for (int num_shards : ShardingSweep()) {
+    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
     ASSERT_TRUE(sharding.ok());
     for (int threads : {1, 2, 8}) {
       SetNumThreads(threads);
@@ -225,8 +198,8 @@ TEST(ShardedAnalyticsTest, PageRankBitwiseAcrossThreads) {
   const std::vector<double> mono_pr = graph::PageRank(graph.Adjacency());
   const graph::MotifPageRankResult mono_mpr =
       graph::MotifPageRank(graph.Adjacency());
-  for (const ShardingOptions& opts : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), opts);
+  for (int num_shards : ShardingSweep()) {
+    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
     ASSERT_TRUE(sharding.ok());
     for (int threads : {1, 2, 8}) {
       SetNumThreads(threads);
@@ -273,8 +246,8 @@ TEST(ShardedBuildersTest, AllFourHypergroupsBitwiseAcrossThreads) {
   const hypergraph::Hypergraph mono_hop =
       hypergraph::BuildMultiHopHypergroup(graph, multihop_opts);
 
-  for (const ShardingOptions& opts : ShardingSweep()) {
-    auto sharding = UserSharding::Create(dataset.num_users, opts);
+  for (int num_shards : ShardingSweep()) {
+    auto sharding = UserSharding::Create(dataset.num_users, num_shards);
     ASSERT_TRUE(sharding.ok());
     for (int threads : {1, 2, 8}) {
       SetNumThreads(threads);
@@ -413,13 +386,12 @@ TEST_F(ShardedPlanTest, ScoresBitIdenticalToMonolithicPlan) {
   PredictorFixture fx;
   std::vector<data::TrustPair> pairs = fx.Pairs(64);
   std::vector<float> mono = fx.predictor->PredictProbabilities(pairs);
-  for (const ShardingOptions& opts : ShardingSweep()) {
+  for (int num_shards : ShardingSweep()) {
     for (int resident : {1, 2}) {
       for (int threads : {1, 2, 8}) {
         SetNumThreads(threads);
         models::ShardedPlanOptions plan_opts;
-        plan_opts.num_shards = opts.num_shards;
-        plan_opts.mode = opts.mode;
+        plan_opts.num_shards = num_shards;
         plan_opts.max_resident_shards = resident;
         plan_opts.spill_dir = SpillDir();
         fx.predictor->EnableShardedInference(plan_opts);
@@ -428,7 +400,7 @@ TEST_F(ShardedPlanTest, ScoresBitIdenticalToMonolithicPlan) {
         ASSERT_EQ(sharded.size(), mono.size());
         for (size_t i = 0; i < mono.size(); ++i) {
           EXPECT_EQ(sharded[i], mono[i])
-              << "pair " << i << " K=" << opts.num_shards
+              << "pair " << i << " K=" << num_shards
               << " resident=" << resident << " threads=" << threads;
         }
       }
@@ -509,8 +481,7 @@ TEST_F(ShardedPlanTest, BatchFetchesEachBlockOnceUnderCapOne) {
   plan_opts.spill_dir = SpillDir();
   fx.predictor->EnableShardedInference(plan_opts);
   fx.predictor->WarmInferencePlan();
-  auto sharding = UserSharding::Create(fx.dataset.num_users,
-                                       {.num_shards = 4});
+  auto sharding = UserSharding::Create(fx.dataset.num_users, 4);
   ASSERT_TRUE(sharding.ok());
   // Test pairs in pair order hop between shards on nearly every endpoint,
   // so a row-by-row gather under a 1-block cap would fault per row.

@@ -1,13 +1,18 @@
 #ifndef AHNTP_TESTS_TEST_UTIL_H_
 #define AHNTP_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/variable.h"
+#include "common/fileio.h"
+#include "common/strings.h"
 
 namespace ahntp::testing {
 
@@ -48,6 +53,55 @@ inline void ExpectGradientsClose(
           << "param " << k << " entry " << i;
     }
   }
+}
+
+/// Whether a golden test rewrites its golden files instead of comparing.
+/// Set by ParseUpdateGolden().
+inline bool& UpdateGolden() {
+  static bool update = false;
+  return update;
+}
+
+/// For a golden test's main(): refresh instead of compare when the command
+/// line carries --update_golden or AHNTP_UPDATE_GOLDEN is set (non-empty,
+/// not "0").
+inline void ParseUpdateGolden(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--update_golden") UpdateGolden() = true;
+  }
+  const char* env = std::getenv("AHNTP_UPDATE_GOLDEN");
+  if (env != nullptr && env[0] != '\0' && std::string(env) != "0") {
+    UpdateGolden() = true;
+  }
+}
+
+/// Compares `observed` with the golden file at `path` and reports every
+/// differing line. When refreshing, rewrites the file and skips the test.
+inline void ExpectMatchesGolden(const std::string& observed,
+                                const std::string& path) {
+  if (UpdateGolden()) {
+    ASSERT_TRUE(WriteFileAtomic(path, observed).ok());
+    GTEST_SKIP() << "golden refreshed at " << path;
+  }
+  std::string expected;
+  ASSERT_TRUE(ReadFileToString(path, &expected).ok())
+      << "missing golden " << path << "; run with --update_golden to create it";
+  if (observed == expected) return;
+  // Line-level report beats a single giant string diff in gtest output.
+  std::vector<std::string> obs = StrSplit(observed, '\n');
+  std::vector<std::string> exp = StrSplit(expected, '\n');
+  std::string delta;
+  for (size_t i = 0; i < std::max(obs.size(), exp.size()); ++i) {
+    const std::string o = i < obs.size() ? obs[i] : "<missing>";
+    const std::string e = i < exp.size() ? exp[i] : "<missing>";
+    if (o != e) {
+      delta += StrFormat("  line %zu: got \"%s\", want \"%s\"\n", i + 1,
+                         o.c_str(), e.c_str());
+    }
+  }
+  FAIL() << "output diverged from golden (" << path << "):\n"
+         << delta
+         << "If the change is intentional, refresh with --update_golden.";
 }
 
 }  // namespace ahntp::testing
