@@ -1,5 +1,5 @@
 // Out-of-core scale sweep (DESIGN.md §14): drives the EpinionsLike preset
-// past 1M users through the sharded build + shard-aware inference path and
+// past 1M users through streamed edge routing plus spilled inference and
 // emits `BENCH_scale.json` with build time, peak RSS, and score latency vs
 // population N and shard count K.
 //

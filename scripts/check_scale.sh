@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Sharded out-of-core gate (DESIGN.md §14), run after tier-1 ctest:
-# sharding_test (partitioner, halo subgraphs, sharded analytics and
-# builders bitwise vs K=1, the bounded-LRU inference plan) runs there
-# (`ctest -L graph` runs that subsystem's tests alone) and under TSan in
-# scripts/check_tsan.sh. This gate runs a small bench_scale sweep whose
+# Spilled-inference gate (DESIGN.md §14), run after tier-1 ctest:
+# sharding_test (partitioner, streamed edge routing, the bounded-LRU
+# inference plan bitwise vs K=1) runs there (`ctest -L graph` runs that
+# subsystem's tests alone) and under TSan in scripts/check_tsan.sh. This
+# gate runs a small bench_scale sweep whose
 # cross-K score-digest CHECK is the sharded-vs-monolithic digest diff — the
 # parent process aborts if any shard count changes a single output bit.
 # Usage:

@@ -6,11 +6,12 @@
 #   scripts/check_tsan.sh
 #
 #   - parallel_test, matrix_test, csr_test, graph_test, core_test: the
-#     execution substrate (common/parallel.*) and the kernels dispatching
-#     to its pool;
+#     execution substrate (common/parallel.*), the kernels dispatching to
+#     its pool, and the hypergroup builders' per-vertex fan-out;
 #   - kernel_parity_test, inference_test: the kernel dispatch atomics and
 #     the per-predictor inference plans;
-#   - sharding_test: per-shard builders fan out on the shared pool;
+#   - sharding_test: the spilled plan's Gather faulting blocks in under
+#     threads 1/2/8, and its fault path;
 #   - observability_test: metrics and trace rings written from workers;
 #   - serve_test: the queue/dispatcher hand-off;
 #   - robustness_test: the ensemble fans members out over the pool from

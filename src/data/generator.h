@@ -227,8 +227,8 @@ std::vector<graph::GraphDelta> GenerateTrustDeltas(
 /// handed to `flush(shard, edges)` and cleared, so peak buffered memory is
 /// num_shards * capacity edges regardless of graph size. An edge whose
 /// endpoints fall in two different shards is delivered to both (each shard's
-/// subgraph needs its halo edges); consumers deduplicate by StreamedEdge::
-/// index where global uniqueness matters. Call FlushAll() once the stream
+/// local graph sees every edge incident to its users); consumers deduplicate
+/// by StreamedEdge::index where global uniqueness matters. Call FlushAll() once the stream
 /// ends to drain partial buffers.
 class ShardedEdgeBuffer {
  public:

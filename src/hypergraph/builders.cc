@@ -120,6 +120,19 @@ Hypergraph BuildPairwiseHypergroup(const graph::Digraph& graph) {
   return hg;
 }
 
+std::vector<int> MultiHopBall(const graph::Digraph& graph, int anchor,
+                              int hops, size_t max_edge_size) {
+  std::vector<int> members;
+  members.push_back(anchor);
+  // NeighborhoodBall returns BFS order, so the size cap keeps the nearest
+  // neighbours.
+  for (int v : graph.NeighborhoodBall(anchor, hops)) {
+    if (max_edge_size > 0 && members.size() >= max_edge_size) break;
+    members.push_back(v);
+  }
+  return members;
+}
+
 Hypergraph BuildMultiHopHypergroup(const graph::Digraph& graph,
                                    const MultiHopOptions& options) {
   trace::TraceSpan span("hypergraph.build.multi_hop");
@@ -132,20 +145,8 @@ Hypergraph BuildMultiHopHypergroup(const graph::Digraph& graph,
     std::vector<std::vector<int>> per_vertex(graph.num_nodes());
     ParallelFor(0, graph.num_nodes(), kVertexGrain, [&](size_t u0, size_t u1) {
       for (size_t u = u0; u < u1; ++u) {
-        // NeighborhoodBall returns BFS order, so the size cap keeps the
-        // nearest neighbours.
-        std::vector<int> members;
-        members.push_back(static_cast<int>(u));
-        std::vector<int> ball =
-            graph.NeighborhoodBall(static_cast<int>(u), hop);
-        for (int v : ball) {
-          if (options.max_edge_size > 0 &&
-              members.size() >= options.max_edge_size) {
-            break;
-          }
-          members.push_back(v);
-        }
-        per_vertex[u] = std::move(members);
+        per_vertex[u] = MultiHopBall(graph, static_cast<int>(u), hop,
+                                     options.max_edge_size);
       }
     });
     for (size_t u = 0; u < graph.num_nodes(); ++u) {
@@ -154,241 +155,6 @@ Hypergraph BuildMultiHopHypergroup(const graph::Digraph& graph,
   }
   CountEdgesBuilt(hg);
   return hg;
-}
-
-HypergroupFragment BuildSocialInfluenceFragment(
-    const graph::ShardSubgraph& subgraph, const std::vector<double>& influence,
-    int top_k) {
-  trace::TraceSpan span("hypergraph.build.social_influence_fragment");
-  AHNTP_CHECK_GT(top_k, 0);
-  const size_t local_n = subgraph.graph.num_nodes();
-  HypergroupFragment fragment;
-  // Per-local-vertex member selection runs on the execution substrate, as in
-  // the monolithic builder; owned anchors are then collected in local order
-  // (= ascending global order, the monolithic append order).
-  std::vector<std::vector<int>> members(local_n);
-  ParallelFor(0, local_n, kVertexGrain, [&](size_t l0, size_t l1) {
-    for (size_t l = l0; l < l1; ++l) {
-      if (!subgraph.is_owned[l]) continue;
-      std::vector<int> neighbors =
-          subgraph.graph.UndirectedNeighbors(static_cast<int>(l));
-      // Map to global ids first: monotone local ids keep the sorted order,
-      // and the comparator must read the global influence vector.
-      for (int& v : neighbors) v = subgraph.GlobalId(v);
-      std::stable_sort(neighbors.begin(), neighbors.end(),
-                       [&influence](int a, int b) {
-                         return influence[static_cast<size_t>(a)] >
-                                influence[static_cast<size_t>(b)];
-                       });
-      if (neighbors.size() > static_cast<size_t>(top_k)) {
-        neighbors.resize(static_cast<size_t>(top_k));
-      }
-      neighbors.push_back(subgraph.GlobalId(static_cast<int>(l)));
-      members[l] = std::move(neighbors);
-    }
-  });
-  for (size_t l = 0; l < local_n; ++l) {
-    if (!subgraph.is_owned[l]) continue;
-    fragment.edges.push_back({static_cast<int64_t>(
-                                  subgraph.GlobalId(static_cast<int>(l))),
-                              std::move(members[l])});
-  }
-  return fragment;
-}
-
-HypergroupFragment BuildAttributeFragment(
-    const graph::UserSharding& sharding, int shard,
-    const std::vector<std::vector<int>>& attributes) {
-  trace::TraceSpan span("hypergraph.build.attribute_fragment");
-  const std::vector<int>& owned = sharding.UsersOf(shard);
-  HypergroupFragment fragment;
-  for (size_t c = 0; c < attributes.size(); ++c) {
-    const auto& column = attributes[c];
-    AHNTP_CHECK_EQ(column.size(), sharding.num_users())
-        << "every attribute column must cover all users";
-    // Owned users ascend, so each value's member list ascends — matching
-    // the monolithic per-value append order after the merge concatenates
-    // the (disjoint, interleaved-by-id) shard lists.
-    std::map<int, std::vector<int>> grouped;
-    for (int u : owned) {
-      int value = column[static_cast<size_t>(u)];
-      if (value >= 0) grouped[value].push_back(u);
-    }
-    for (auto& [value, members] : grouped) {
-      int64_t key = (static_cast<int64_t>(c) << 32) | static_cast<int64_t>(value);
-      fragment.edges.push_back({key, std::move(members)});
-    }
-  }
-  return fragment;
-}
-
-HypergroupFragment BuildPairwiseFragment(const graph::ShardSubgraph& subgraph,
-                                         const graph::UserSharding& sharding) {
-  trace::TraceSpan span("hypergraph.build.pairwise_fragment");
-  HypergroupFragment fragment;
-  // Local edges ascend by global edge index, so the first time a pair is
-  // seen here is also its global first appearance (both orientations of an
-  // owned pair are incident to the owned min endpoint, hence present).
-  std::map<std::pair<int, int>, int64_t> first_seen;
-  const std::vector<graph::Edge>& edges = subgraph.graph.edges();
-  for (size_t i = 0; i < edges.size(); ++i) {
-    int gsrc = subgraph.GlobalId(edges[i].src);
-    int gdst = subgraph.GlobalId(edges[i].dst);
-    int lo = std::min(gsrc, gdst);
-    int hi = std::max(gsrc, gdst);
-    if (sharding.ShardOf(lo) != subgraph.shard) continue;
-    first_seen.try_emplace({lo, hi}, subgraph.global_edge_index[i]);
-  }
-  for (const auto& [pair, key] : first_seen) {
-    fragment.edges.push_back({key, {pair.first, pair.second}});
-  }
-  return fragment;
-}
-
-HypergroupFragment BuildMultiHopFragment(const graph::ShardSubgraph& subgraph,
-                                         const MultiHopOptions& options,
-                                         size_t num_users) {
-  trace::TraceSpan span("hypergraph.build.multi_hop_fragment");
-  AHNTP_CHECK_GE(options.num_hops, 1);
-  const size_t local_n = subgraph.graph.num_nodes();
-  HypergroupFragment fragment;
-  for (int hop = 1; hop <= options.num_hops; ++hop) {
-    std::vector<std::vector<int>> per_vertex(local_n);
-    ParallelFor(0, local_n, kVertexGrain, [&](size_t l0, size_t l1) {
-      for (size_t l = l0; l < l1; ++l) {
-        if (!subgraph.is_owned[l]) continue;
-        // The halo covers radius >= num_hops around every owned vertex, so
-        // the local BFS visits exactly the global ball, in the same order
-        // (monotone ids keep sorted adjacency positions aligned) — which
-        // makes the size cap truncate identically.
-        std::vector<int> members;
-        members.push_back(subgraph.GlobalId(static_cast<int>(l)));
-        std::vector<int> ball =
-            subgraph.graph.NeighborhoodBall(static_cast<int>(l), hop);
-        for (int v : ball) {
-          if (options.max_edge_size > 0 &&
-              members.size() >= options.max_edge_size) {
-            break;
-          }
-          members.push_back(subgraph.GlobalId(v));
-        }
-        per_vertex[l] = std::move(members);
-      }
-    });
-    for (size_t l = 0; l < local_n; ++l) {
-      if (!subgraph.is_owned[l]) continue;
-      int64_t key = static_cast<int64_t>(hop - 1) *
-                        static_cast<int64_t>(num_users) +
-                    static_cast<int64_t>(subgraph.GlobalId(static_cast<int>(l)));
-      fragment.edges.push_back({key, std::move(per_vertex[l])});
-    }
-  }
-  return fragment;
-}
-
-Hypergraph MergeFragments(size_t num_users,
-                          std::vector<HypergroupFragment> fragments,
-                          size_t min_size) {
-  trace::TraceSpan span("hypergraph.build.merge_fragments");
-  std::vector<HypergroupFragment::Edge> all;
-  size_t total = 0;
-  for (const HypergroupFragment& f : fragments) total += f.edges.size();
-  all.reserve(total);
-  for (HypergroupFragment& f : fragments) {
-    for (HypergroupFragment::Edge& e : f.edges) all.push_back(std::move(e));
-    f.edges.clear();
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const HypergroupFragment::Edge& a,
-                      const HypergroupFragment::Edge& b) { return a.key < b.key; });
-  Hypergraph hg(num_users);
-  size_t i = 0;
-  while (i < all.size()) {
-    std::vector<int> members = std::move(all[i].members);
-    size_t j = i + 1;
-    // Equal keys (attribute values spanning shards) merge into one edge;
-    // member lists are disjoint, so the size check matches the monolithic
-    // group size. AddEdge re-sorts, so concatenation order is immaterial.
-    for (; j < all.size() && all[j].key == all[i].key; ++j) {
-      members.insert(members.end(), all[j].members.begin(),
-                     all[j].members.end());
-    }
-    if (members.size() >= min_size) {
-      AHNTP_CHECK_OK(hg.AddEdge(std::move(members)));
-    }
-    i = j;
-  }
-  AHNTP_METRIC_COUNT("hypergraph.shard.fragments_merged",
-                     static_cast<int64_t>(total));
-  CountEdgesBuilt(hg);
-  return hg;
-}
-
-namespace {
-
-std::vector<graph::ShardSubgraph> SubgraphsForAllShards(
-    const graph::Digraph& graph, const graph::UserSharding& sharding,
-    int halo_hops) {
-  std::vector<graph::ShardSubgraph> subs;
-  subs.reserve(static_cast<size_t>(sharding.num_shards()));
-  for (int s = 0; s < sharding.num_shards(); ++s) {
-    auto sub = graph::BuildShardSubgraph(graph, sharding, s, halo_hops);
-    AHNTP_CHECK_OK(sub.status());
-    subs.push_back(std::move(sub).value());
-  }
-  return subs;
-}
-
-}  // namespace
-
-Hypergraph BuildSocialInfluenceHypergroupSharded(
-    const graph::Digraph& graph, const graph::UserSharding& sharding,
-    const SocialInfluenceOptions& options) {
-  std::vector<double> influence;
-  if (options.use_motif_pagerank) {
-    influence = graph::ShardedMotifPageRank(graph, sharding, options.mpr).scores;
-  } else {
-    influence = graph::ShardedPageRank(graph, sharding, options.mpr.pagerank);
-  }
-  std::vector<HypergroupFragment> fragments;
-  for (const graph::ShardSubgraph& sub :
-       SubgraphsForAllShards(graph, sharding, 1)) {
-    fragments.push_back(
-        BuildSocialInfluenceFragment(sub, influence, options.top_k));
-  }
-  return MergeFragments(graph.num_nodes(), std::move(fragments));
-}
-
-Hypergraph BuildAttributeHypergroupSharded(
-    const graph::UserSharding& sharding,
-    const std::vector<std::vector<int>>& attributes, size_t min_size) {
-  std::vector<HypergroupFragment> fragments;
-  for (int s = 0; s < sharding.num_shards(); ++s) {
-    fragments.push_back(BuildAttributeFragment(sharding, s, attributes));
-  }
-  return MergeFragments(sharding.num_users(), std::move(fragments), min_size);
-}
-
-Hypergraph BuildPairwiseHypergroupSharded(const graph::Digraph& graph,
-                                          const graph::UserSharding& sharding) {
-  std::vector<HypergroupFragment> fragments;
-  for (const graph::ShardSubgraph& sub :
-       SubgraphsForAllShards(graph, sharding, 1)) {
-    fragments.push_back(BuildPairwiseFragment(sub, sharding));
-  }
-  return MergeFragments(graph.num_nodes(), std::move(fragments));
-}
-
-Hypergraph BuildMultiHopHypergroupSharded(const graph::Digraph& graph,
-                                          const graph::UserSharding& sharding,
-                                          const MultiHopOptions& options) {
-  std::vector<HypergroupFragment> fragments;
-  for (const graph::ShardSubgraph& sub :
-       SubgraphsForAllShards(graph, sharding, options.num_hops)) {
-    fragments.push_back(
-        BuildMultiHopFragment(sub, options, graph.num_nodes()));
-  }
-  return MergeFragments(graph.num_nodes(), std::move(fragments));
 }
 
 }  // namespace ahntp::hypergraph

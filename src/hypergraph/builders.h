@@ -5,7 +5,6 @@
 
 #include "graph/digraph.h"
 #include "graph/pagerank.h"
-#include "graph/sharding.h"
 #include "hypergraph/hypergraph.h"
 
 namespace ahntp::hypergraph {
@@ -68,82 +67,13 @@ struct MultiHopOptions {
 Hypergraph BuildMultiHopHypergroup(const graph::Digraph& graph,
                                    const MultiHopOptions& options);
 
-// ---------------------------------------------------------------------------
-// Sharded construction (DESIGN.md §14). Each shard builds the hyperedges
-// anchored at its owned users against its halo subgraph; fragments carry
-// global member ids plus a canonical int64 sort key that reproduces the
-// monolithic builder's edge-append order, so merging fragments yields a
-// hypergraph bit-identical to the monolithic build — at any combination of
-// shard count, sharding mode, and thread count. K=1 is the parity oracle.
-//
-// Canonical keys per builder:
-//   social influence  anchor user u                (append order: ascending u)
-//   attribute         column << 32 | value         (column-major, value asc;
-//                                                   equal keys merge members)
-//   pairwise          min global edge index of either orientation of {lo,hi}
-//                     (= first-appearance order over graph.edges())
-//   multi-hop         (hop - 1) * num_users + u    (hop-major, then u)
-// ---------------------------------------------------------------------------
-
-/// One shard's hyperedges: global member ids plus the canonical merge key.
-struct HypergroupFragment {
-  struct Edge {
-    int64_t key = 0;
-    std::vector<int> members;  // global user ids
-  };
-  std::vector<Edge> edges;
-};
-
-/// Social-influence hyperedges for the subgraph's owned users. `influence`
-/// is the *global* score vector (one per user); the 1-hop halo guarantees
-/// every anchor sees its full neighbour list, and monotone local ids keep
-/// the stable_sort input order identical to the monolithic builder's.
-HypergroupFragment BuildSocialInfluenceFragment(
-    const graph::ShardSubgraph& subgraph, const std::vector<double>& influence,
-    int top_k);
-
-/// Attribute hyperedge fragments over the users shard `shard` owns. The
-/// min_size filter is applied after the merge (a value's members span
-/// shards), not here.
-HypergroupFragment BuildAttributeFragment(
-    const graph::UserSharding& sharding, int shard,
-    const std::vector<std::vector<int>>& attributes);
-
-/// Pairwise hyperedges owned by this shard: the shard owning min(src, dst)
-/// emits the pair, keyed by the smallest global edge index of either
-/// orientation. Both orientations are incident to the owned min endpoint,
-/// so a 1-hop halo sees them all.
-HypergroupFragment BuildPairwiseFragment(const graph::ShardSubgraph& subgraph,
-                                         const graph::UserSharding& sharding);
-
-/// Multi-hop ball hyperedges for owned users. The subgraph must have been
-/// built with halo_hops >= options.num_hops so every ball (and the BFS
-/// order the size cap truncates by) is exact.
-HypergroupFragment BuildMultiHopFragment(const graph::ShardSubgraph& subgraph,
-                                         const MultiHopOptions& options,
-                                         size_t num_users);
-
-/// Merges fragments into one hypergraph over `num_users` vertices: edges
-/// sorted by key, equal keys merged into a single hyperedge (the attribute
-/// case; owned-user member lists are disjoint across shards), merged edges
-/// below `min_size` members dropped.
-Hypergraph MergeFragments(size_t num_users,
-                          std::vector<HypergroupFragment> fragments,
-                          size_t min_size = 1);
-
-/// Convenience drivers: partition, build fragments per shard, merge.
-/// Each is bit-identical to its monolithic counterpart.
-Hypergraph BuildSocialInfluenceHypergroupSharded(
-    const graph::Digraph& graph, const graph::UserSharding& sharding,
-    const SocialInfluenceOptions& options);
-Hypergraph BuildAttributeHypergroupSharded(
-    const graph::UserSharding& sharding,
-    const std::vector<std::vector<int>>& attributes, size_t min_size = 2);
-Hypergraph BuildPairwiseHypergroupSharded(const graph::Digraph& graph,
-                                          const graph::UserSharding& sharding);
-Hypergraph BuildMultiHopHypergroupSharded(const graph::Digraph& graph,
-                                          const graph::UserSharding& sharding,
-                                          const MultiHopOptions& options);
+/// Members of `anchor`'s hop-level hyperedge: the anchor, then
+/// NeighborhoodBall(anchor, hops) in BFS order, cut at `max_edge_size`
+/// members (0 = uncapped) so the nearest neighbours survive. The builder
+/// and the incremental update (hypergraph/dynamic.h) both call it, which
+/// keeps their hyperedges bit-identical.
+std::vector<int> MultiHopBall(const graph::Digraph& graph, int anchor,
+                              int hops, size_t max_edge_size);
 
 }  // namespace ahntp::hypergraph
 

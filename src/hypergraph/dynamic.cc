@@ -30,6 +30,53 @@ int64_t PairKey(int lo, int hi) {
          static_cast<int64_t>(hi);
 }
 
+// Both updates below split the hypergroup into fragments — hyperedges
+// retained from the old hypergroup plus hyperedges rebuilt for what the
+// delta touched — and merge them back. Each fragment edge carries a
+// canonical int64 key that reproduces the monolithic builder's append
+// order, so sorting the merged edges by key yields a hypergraph
+// bit-identical to a fresh build. Canonical keys per builder:
+//   pairwise   the representative orientation src << 32 | dst, i.e. the
+//              pair's first appearance in the sorted canonical edge list
+//              (BuildPairwiseHypergroup appends pairs in that order)
+//   multi-hop  (hop - 1) * num_users + u    (hop-major, then anchor u)
+
+/// One fragment's hyperedges: member ids plus the canonical merge key.
+struct HypergroupFragment {
+  struct Edge {
+    int64_t key = 0;
+    std::vector<int> members;
+  };
+  std::vector<Edge> edges;
+};
+
+/// Merges fragments into one hypergraph over `num_users` vertices, edges
+/// in ascending key order. Keys are unique across fragments: an edge is
+/// either retained or rebuilt, never both.
+Hypergraph MergeFragments(size_t num_users,
+                          std::vector<HypergroupFragment> fragments) {
+  trace::TraceSpan span("hypergraph.build.merge_fragments");
+  std::vector<HypergroupFragment::Edge> all;
+  size_t total = 0;
+  for (const HypergroupFragment& f : fragments) total += f.edges.size();
+  all.reserve(total);
+  for (HypergroupFragment& f : fragments) {
+    for (HypergroupFragment::Edge& e : f.edges) all.push_back(std::move(e));
+  }
+  std::sort(all.begin(), all.end(),
+            [](const HypergroupFragment::Edge& a,
+               const HypergroupFragment::Edge& b) { return a.key < b.key; });
+  Hypergraph hg(num_users);
+  for (size_t i = 0; i < all.size(); ++i) {
+    AHNTP_CHECK(i == 0 || all[i - 1].key < all[i].key)
+        << "duplicate fragment key " << all[i].key;
+    AHNTP_CHECK_OK(hg.AddEdge(std::move(all[i].members)));
+  }
+  AHNTP_METRIC_COUNT("hypergraph.edges_built",
+                     static_cast<int64_t>(hg.num_edges()));
+  return hg;
+}
+
 /// Vertices within `hops` (undirected) steps of any source, sources
 /// included — the only anchors whose BFS balls a delta can have changed.
 std::vector<char> WithinHops(const graph::Digraph& g,
@@ -76,8 +123,7 @@ Hypergraph UpdatePairwiseHypergroup(
   }
   // The key packs the representative orientation: the lexicographically
   // first existing direction, i.e. the pair's first appearance in the
-  // sorted canonical edge list — MergeFragments' sort then reproduces
-  // BuildPairwiseHypergroup's append order over that list.
+  // sorted canonical edge list (see the canonical keys above).
   auto representative_key = [&new_view](int lo, int hi) {
     bool lo_hi = new_view.HasEdge(lo, hi);
     int64_t src = lo_hi ? lo : hi;
@@ -142,18 +188,9 @@ Hypergraph UpdateMultiHopHypergroup(const Hypergraph& old_hg,
             {key, old_hg.EdgeVertices(static_cast<size_t>(key))});
         continue;
       }
-      std::vector<int> members;
-      members.push_back(static_cast<int>(u));
-      std::vector<int> ball =
-          new_view.NeighborhoodBall(static_cast<int>(u), hop);
-      for (int v : ball) {
-        if (options.max_edge_size > 0 &&
-            members.size() >= options.max_edge_size) {
-          break;
-        }
-        members.push_back(v);
-      }
-      changed.edges.push_back({key, std::move(members)});
+      changed.edges.push_back(
+          {key, MultiHopBall(new_view, static_cast<int>(u), hop,
+                             options.max_edge_size)});
     }
   }
   AHNTP_METRIC_COUNT("hypergraph.update.multi_hop_dirty_anchors",

@@ -15,9 +15,9 @@ namespace ahntp::hypergraph {
 // Incremental hypergroup maintenance (DESIGN.md §17). After a graph delta,
 // only hypergroups whose membership keys changed are re-derived, and those
 // only partially: untouched hyperedges are retained verbatim as fragments
-// and merged with freshly built fragments for the dirty anchors through the
-// PR 6 MergeFragments machinery, whose canonical keys reproduce the
-// monolithic builders' edge order bit-for-bit. Per group:
+// and merged with freshly built fragments for the dirty anchors by a
+// key-ordered merge private to dynamic.cc, whose canonical keys reproduce
+// the monolithic builders' edge order bit-for-bit. Per group:
 //
 //   social     influence is a global fixed point, so any structural delta
 //              may reorder any anchor's top-K — rebuilt whole (still cheap

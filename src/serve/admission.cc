@@ -1,7 +1,6 @@
 #include "serve/admission.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.h"
 
@@ -17,32 +16,6 @@ const char* LaneName(Lane lane) {
       return "besteffort";
   }
   return "unknown";
-}
-
-bool LaneFromString(const std::string& name, Lane* out) {
-  if (name == "strict") {
-    *out = Lane::kStrict;
-  } else if (name == "degraded") {
-    *out = Lane::kDegradedEligible;
-  } else if (name == "besteffort") {
-    *out = Lane::kBesteffort;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Lane DefaultLaneFromEnv() {
-  static const Lane lane = [] {
-    const char* value = std::getenv("AHNTP_SERVE_LANE");
-    if (value == nullptr || value[0] == '\0') return Lane::kStrict;
-    Lane parsed;
-    AHNTP_CHECK(LaneFromString(value, &parsed))
-        << "AHNTP_SERVE_LANE must be strict, degraded, or besteffort; got \""
-        << value << "\"";
-    return parsed;
-  }();
-  return lane;
 }
 
 AdmissionController::AdmissionController(const AdmissionOptions& options)

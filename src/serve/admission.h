@@ -2,7 +2,6 @@
 #define AHNTP_SERVE_ADMISSION_H_
 
 #include <cstddef>
-#include <string>
 
 namespace ahntp::serve {
 
@@ -22,15 +21,6 @@ inline constexpr int kNumLanes = 3;
 /// Stable lowercase lane name ("strict" / "degraded" / "besteffort"),
 /// used in metric names, bench rows, and digests.
 const char* LaneName(Lane lane);
-
-/// Parses a lane name (as produced by LaneName). Returns true on success.
-bool LaneFromString(const std::string& name, Lane* out);
-
-/// Default lane for requests that do not carry one explicitly, resolved
-/// once from the AHNTP_SERVE_LANE environment variable ("strict",
-/// "degraded", or "besteffort"); kStrict when unset. An unparseable value
-/// aborts via CHECK (operator error, same contract as malformed flags).
-Lane DefaultLaneFromEnv();
 
 /// Static admission policy over a bounded queue of `queue_capacity` slots.
 ///

@@ -102,15 +102,4 @@ void QuantizedMatrix::DequantizeRowInto(size_t r, float* dst) const {
   }
 }
 
-void QuantizedMatrix::GatherDequantizeInto(
-    Matrix* out, const std::vector<int>& indices) const {
-  for (size_t i = 0; i < indices.size(); ++i) {
-    AHNTP_CHECK(indices[i] >= 0 && static_cast<size_t>(indices[i]) < rows_);
-  }
-  out->ResetShape(indices.size(), cols_);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    DequantizeRowInto(static_cast<size_t>(indices[i]), out->RowPtr(i));
-  }
-}
-
 }  // namespace ahntp::tensor

@@ -69,11 +69,6 @@ class QuantizedMatrix {
   /// Dequantizes row r into dst[0, cols): dst[c] = q[c] * scale(r).
   void DequantizeRowInto(size_t r, float* dst) const;
 
-  /// Dequantizes rows[i] of this matrix into row i of `out` (reshaped to
-  /// indices.size() x cols). The gather analogue of GatherRowsInto.
-  void GatherDequantizeInto(Matrix* out,
-                            const std::vector<int>& indices) const;
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;

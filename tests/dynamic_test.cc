@@ -260,6 +260,9 @@ TEST(DynamicAnalyticsTest, WarmInfluenceMatchesColdSolve) {
 TEST(DynamicHypergroupTest, AllFourGroupsMatchBuildersAfterDeltas) {
   data::SocialDataset dataset = TestDataset();
   DynamicPipelineOptions options = SmallOptions();
+  // Small enough that the multi-hop cap truncates balls in this graph, so
+  // the update and the builder are compared where the cap decides members.
+  options.model.multi_hop_max_edge_size = 4;
   auto pipeline = DynamicTrustPipeline::Create(dataset, options).value();
   for (const GraphDelta& delta : TestDeltas(dataset, 6)) {
     ASSERT_TRUE(pipeline.ApplyDelta(delta).ok());
@@ -282,6 +285,13 @@ TEST(DynamicHypergroupTest, AllFourGroupsMatchBuildersAfterDeltas) {
     ExpectHypergraphEq(pipeline.multihop_hypergroup(),
                        hypergraph::BuildMultiHopHypergroup(view, hop),
                        "multi-hop");
+    size_t capped = 0;
+    for (size_t e = 0; e < pipeline.multihop_hypergroup().num_edges(); ++e) {
+      const size_t degree = pipeline.multihop_hypergroup().EdgeDegree(e);
+      EXPECT_LE(degree, hop.max_edge_size) << "multi-hop edge " << e;
+      if (degree == hop.max_edge_size) ++capped;
+    }
+    EXPECT_GT(capped, 0u) << "the cap never bit; shrink it";
   }
 }
 

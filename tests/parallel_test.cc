@@ -11,7 +11,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/generator.h"
+#include "graph/digraph.h"
 #include "graph/pagerank.h"
+#include "hypergraph/builders.h"
+#include "hypergraph/hypergraph.h"
 #include "tensor/csr.h"
 #include "tensor/matrix.h"
 
@@ -199,8 +203,8 @@ TEST(ParallelTest, ReduceMatchesSerialSum) {
 
 // ---------------------------------------------------------------------------
 // Kernel determinism across thread counts (the EXPERIMENTS.md seed
-// contract): MatMul, SpMM, SpGEMM, and PageRank must be bit-identical at
-// 1, 2, and 8 threads.
+// contract): MatMul, SpMM, SpGEMM, PageRank and the hypergroup builds must
+// be bit-identical at 1, 2, and 8 threads.
 // ---------------------------------------------------------------------------
 
 template <typename Fn>
@@ -213,6 +217,32 @@ void ExpectBitIdentical(const tensor::Matrix& a, const tensor::Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+void ExpectBitIdentical(const tensor::CsrMatrix& a,
+                        const tensor::CsrMatrix& b) {
+  EXPECT_EQ(a.row_ptr(), b.row_ptr());
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
+                        a.nnz() * sizeof(float)),
+            0);
+}
+
+void ExpectBitIdentical(const std::vector<double>& a,
+                        const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+void ExpectBitIdentical(const hypergraph::Hypergraph& a,
+                        const hypergraph::Hypergraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (size_t e = 0; e < a.num_edges(); ++e) {
+    EXPECT_EQ(a.EdgeVertices(e), b.EdgeVertices(e)) << "edge " << e;
+    EXPECT_EQ(a.EdgeWeight(e), b.EdgeWeight(e)) << "edge " << e;
+  }
 }
 
 TEST(ParallelDeterminismTest, MatMulBitIdenticalAcrossThreadCounts) {
@@ -267,20 +297,8 @@ TEST(ParallelDeterminismTest, SpGemmBitIdenticalAcrossThreadCounts) {
   tensor::CsrMatrix b = random_sparse(22);
   auto run = [&] { return tensor::SpGemm(a, b); };
   tensor::CsrMatrix r1 = RunAtThreads(1, run);
-  tensor::CsrMatrix r2 = RunAtThreads(2, run);
-  tensor::CsrMatrix r8 = RunAtThreads(8, run);
-  EXPECT_EQ(r1.row_ptr(), r2.row_ptr());
-  EXPECT_EQ(r1.col_idx(), r2.col_idx());
-  EXPECT_EQ(r1.row_ptr(), r8.row_ptr());
-  EXPECT_EQ(r1.col_idx(), r8.col_idx());
-  ASSERT_EQ(r1.nnz(), r2.nnz());
-  ASSERT_EQ(r1.nnz(), r8.nnz());
-  EXPECT_EQ(std::memcmp(r1.values().data(), r2.values().data(),
-                        r1.nnz() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(r1.values().data(), r8.values().data(),
-                        r1.nnz() * sizeof(float)),
-            0);
+  ExpectBitIdentical(r1, RunAtThreads(2, run));
+  ExpectBitIdentical(r1, RunAtThreads(8, run));
 }
 
 TEST(ParallelDeterminismTest, PageRankBitIdenticalAcrossThreadCounts) {
@@ -294,12 +312,53 @@ TEST(ParallelDeterminismTest, PageRankBitIdenticalAcrossThreadCounts) {
       tensor::CsrMatrix::FromTriplets(400, 400, std::move(triplets));
   auto run = [&] { return graph::PageRank(adjacency); };
   std::vector<double> r1 = RunAtThreads(1, run);
-  std::vector<double> r2 = RunAtThreads(2, run);
-  std::vector<double> r8 = RunAtThreads(8, run);
-  ASSERT_EQ(r1.size(), r2.size());
-  ASSERT_EQ(r1.size(), r8.size());
-  EXPECT_EQ(std::memcmp(r1.data(), r2.data(), r1.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(r1.data(), r8.data(), r1.size() * sizeof(double)), 0);
+  ExpectBitIdentical(r1, RunAtThreads(2, run));
+  ExpectBitIdentical(r1, RunAtThreads(8, run));
+}
+
+// The four hypergroup builds (Section IV-B) fan their per-vertex loops out
+// on the shared pool, and the social-influence build ranks neighbours by
+// MotifPageRank; none of them may depend on the thread count.
+TEST(ParallelDeterminismTest, HypergroupBuildsBitIdenticalAcrossThreadCounts) {
+  data::SocialDataset dataset =
+      data::SocialNetworkGenerator(data::GeneratorConfig::EpinionsLike(0.05))
+          .Generate();
+  auto graph_result = dataset.GraphFromEdges(dataset.trust_edges);
+  ASSERT_TRUE(graph_result.ok());
+  const graph::Digraph graph = std::move(graph_result).value();
+  const std::vector<std::vector<int>> attributes = {dataset.communities};
+  hypergraph::MultiHopOptions multihop;
+  multihop.num_hops = 2;
+
+  struct Built {
+    graph::MotifPageRankResult mpr;
+    std::vector<hypergraph::Hypergraph> groups;
+  };
+  auto run = [&] {
+    Built built;
+    built.mpr = graph::MotifPageRank(graph.Adjacency());
+    built.groups.push_back(hypergraph::BuildSocialInfluenceHypergroup(
+        graph, hypergraph::SocialInfluenceOptions{}));
+    built.groups.push_back(
+        hypergraph::BuildAttributeHypergroup(dataset.num_users, attributes));
+    built.groups.push_back(hypergraph::BuildPairwiseHypergroup(graph));
+    built.groups.push_back(
+        hypergraph::BuildMultiHopHypergroup(graph, multihop));
+    return built;
+  };
+  const Built r1 = RunAtThreads(1, run);
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const Built rt = RunAtThreads(threads, run);
+    ExpectBitIdentical(r1.mpr.scores, rt.mpr.scores);
+    ExpectBitIdentical(r1.mpr.combined_weights, rt.mpr.combined_weights);
+    ExpectBitIdentical(r1.mpr.motif_adjacency, rt.mpr.motif_adjacency);
+    ASSERT_EQ(r1.groups.size(), rt.groups.size());
+    for (size_t g = 0; g < r1.groups.size(); ++g) {
+      SCOPED_TRACE(testing::Message() << "hypergroup " << g);
+      ExpectBitIdentical(r1.groups[g], rt.groups[g]);
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Sharded build + shard-aware inference (DESIGN.md §14): the partitioner,
-// halo subgraphs, sharded analytics and hypergroup builders, the streaming
-// generator, and the out-of-core inference plan. The load-bearing property
-// throughout is *bitwise* parity with the monolithic (K=1) path at every
-// combination of shard count, sharding mode, and thread count.
+// Streamed edge routing plus spilled inference (DESIGN.md §14): the user
+// partitioner, the streaming generator and its per-shard edge buffer, and
+// the out-of-core inference plan. The load-bearing property of the plan is
+// *bitwise* parity with the monolithic (K=1) path at every combination of
+// shard count and thread count.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,56 +21,17 @@
 #include "data/features.h"
 #include "data/generator.h"
 #include "data/split.h"
-#include "graph/motifs.h"
-#include "graph/pagerank.h"
+#include "graph/digraph.h"
 #include "graph/sharding.h"
-#include "hypergraph/builders.h"
 #include "models/inference_plan.h"
 #include "models/trust_predictor.h"
 #include "serve/backend.h"
-#include "tensor/csr.h"
 
 namespace ahntp {
 namespace {
 
 using graph::Digraph;
 using graph::UserSharding;
-using tensor::CsrMatrix;
-
-/// Bitwise CSR equality: structure and float bits, not approximate values.
-void ExpectCsrBitwiseEqual(const CsrMatrix& a, const CsrMatrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  ASSERT_EQ(a.row_ptr(), b.row_ptr());
-  ASSERT_EQ(a.col_idx(), b.col_idx());
-  ASSERT_EQ(a.values().size(), b.values().size());
-  for (size_t i = 0; i < a.values().size(); ++i) {
-    EXPECT_EQ(a.values()[i], b.values()[i]) << "value " << i;
-  }
-}
-
-void ExpectHypergraphEqual(const hypergraph::Hypergraph& a,
-                           const hypergraph::Hypergraph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (size_t e = 0; e < a.num_edges(); ++e) {
-    EXPECT_EQ(a.EdgeVertices(e), b.EdgeVertices(e)) << "edge " << e;
-    EXPECT_EQ(a.EdgeWeight(e), b.EdgeWeight(e)) << "edge " << e;
-  }
-}
-
-Digraph TestGraph(double scale = 0.05) {
-  data::SocialDataset dataset =
-      data::SocialNetworkGenerator(data::GeneratorConfig::EpinionsLike(scale))
-          .Generate();
-  auto graph = dataset.GraphFromEdges(dataset.trust_edges);
-  AHNTP_CHECK_OK(graph.status());
-  return std::move(graph).value();
-}
-
-/// The shard counts every sharded component's parity sweep runs under,
-/// each at threads {1, 2, 8}.
-std::vector<int> ShardingSweep() { return {1, 3}; }
 
 // ---------------------------------------------------------------------------
 // Partitioner
@@ -109,163 +70,6 @@ TEST(UserShardingTest, RejectsDegenerateRequests) {
   auto single = UserSharding::Create(1, 1);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single.value().ShardOf(0), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Shard subgraphs
-// ---------------------------------------------------------------------------
-
-TEST(ShardSubgraphTest, LocalIdsAscendAndEdgesMatchGlobal) {
-  Digraph graph = TestGraph();
-  for (int num_shards : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
-    ASSERT_TRUE(sharding.ok());
-    size_t owned_total = 0;
-    for (int k = 0; k < num_shards; ++k) {
-      auto sub_result =
-          graph::BuildShardSubgraph(graph, sharding.value(), k, 1);
-      ASSERT_TRUE(sub_result.ok());
-      const graph::ShardSubgraph& sub = sub_result.value();
-      owned_total += sub.num_owned;
-      // local_to_global ascends; is_owned marks exactly the shard's users.
-      for (size_t i = 1; i < sub.local_to_global.size(); ++i) {
-        EXPECT_LT(sub.local_to_global[i - 1], sub.local_to_global[i]);
-      }
-      for (size_t i = 0; i < sub.local_to_global.size(); ++i) {
-        EXPECT_EQ(sub.is_owned[i] != 0,
-                  sharding.value().ShardOf(sub.local_to_global[i]) == k);
-      }
-      // Every local edge maps to the same global edge it indexes.
-      ASSERT_EQ(sub.graph.num_edges(), sub.global_edge_index.size());
-      for (size_t e = 0; e < sub.graph.num_edges(); ++e) {
-        const graph::Edge& local = sub.graph.edges()[e];
-        const graph::Edge& global =
-            graph.edges()[static_cast<size_t>(sub.global_edge_index[e])];
-        EXPECT_EQ(sub.GlobalId(local.src), global.src);
-        EXPECT_EQ(sub.GlobalId(local.dst), global.dst);
-      }
-      // Halo closure: every global edge among subgraph vertices is present.
-      size_t expected = 0;
-      for (const graph::Edge& ge : graph.edges()) {
-        if (sub.LocalId(ge.src) >= 0 && sub.LocalId(ge.dst) >= 0) ++expected;
-      }
-      EXPECT_EQ(sub.graph.num_edges(), expected);
-    }
-    EXPECT_EQ(owned_total, graph.num_nodes());
-  }
-}
-
-TEST(ShardSubgraphTest, RejectsBadArguments) {
-  Digraph graph = TestGraph();
-  auto sharding =
-      UserSharding::Create(graph.num_nodes(), 2);
-  ASSERT_TRUE(sharding.ok());
-  EXPECT_FALSE(graph::BuildShardSubgraph(graph, sharding.value(), -1, 1).ok());
-  EXPECT_FALSE(graph::BuildShardSubgraph(graph, sharding.value(), 2, 1).ok());
-  EXPECT_FALSE(graph::BuildShardSubgraph(graph, sharding.value(), 0, -1).ok());
-  Digraph wrong_size(graph.num_nodes() + 1);
-  EXPECT_FALSE(
-      graph::BuildShardSubgraph(wrong_size, sharding.value(), 0, 1).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded analytics: bitwise vs monolithic at threads 1/2/8
-// ---------------------------------------------------------------------------
-
-TEST(ShardedAnalyticsTest, AdjacencyAndMotifBitwiseAcrossThreads) {
-  Digraph graph = TestGraph();
-  const CsrMatrix mono_adj = graph.Adjacency();
-  const CsrMatrix mono_motif =
-      graph::MotifAdjacency(mono_adj, graph::Motif::kM6);
-  for (int num_shards : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
-    ASSERT_TRUE(sharding.ok());
-    for (int threads : {1, 2, 8}) {
-      SetNumThreads(threads);
-      ExpectCsrBitwiseEqual(graph::ShardedAdjacency(graph, sharding.value()),
-                            mono_adj);
-      ExpectCsrBitwiseEqual(
-          graph::ShardedMotifAdjacency(graph, sharding.value(),
-                                       graph::Motif::kM6),
-          mono_motif);
-    }
-    SetNumThreads(0);
-  }
-}
-
-TEST(ShardedAnalyticsTest, PageRankBitwiseAcrossThreads) {
-  Digraph graph = TestGraph();
-  const std::vector<double> mono_pr = graph::PageRank(graph.Adjacency());
-  const graph::MotifPageRankResult mono_mpr =
-      graph::MotifPageRank(graph.Adjacency());
-  for (int num_shards : ShardingSweep()) {
-    auto sharding = UserSharding::Create(graph.num_nodes(), num_shards);
-    ASSERT_TRUE(sharding.ok());
-    for (int threads : {1, 2, 8}) {
-      SetNumThreads(threads);
-      std::vector<double> pr = graph::ShardedPageRank(graph, sharding.value());
-      ASSERT_EQ(pr.size(), mono_pr.size());
-      for (size_t i = 0; i < pr.size(); ++i) {
-        EXPECT_EQ(pr[i], mono_pr[i]) << "PageRank node " << i;
-      }
-      graph::MotifPageRankResult mpr =
-          graph::ShardedMotifPageRank(graph, sharding.value());
-      ASSERT_EQ(mpr.scores.size(), mono_mpr.scores.size());
-      for (size_t i = 0; i < mpr.scores.size(); ++i) {
-        EXPECT_EQ(mpr.scores[i], mono_mpr.scores[i]) << "MPR node " << i;
-      }
-      ExpectCsrBitwiseEqual(mpr.combined_weights, mono_mpr.combined_weights);
-      ExpectCsrBitwiseEqual(mpr.motif_adjacency, mono_mpr.motif_adjacency);
-    }
-    SetNumThreads(0);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded hypergroup builders: bitwise vs monolithic at threads 1/2/8
-// ---------------------------------------------------------------------------
-
-TEST(ShardedBuildersTest, AllFourHypergroupsBitwiseAcrossThreads) {
-  data::SocialDataset dataset = data::SocialNetworkGenerator(
-                                    data::GeneratorConfig::EpinionsLike(0.05))
-                                    .Generate();
-  auto graph_result = dataset.GraphFromEdges(dataset.trust_edges);
-  ASSERT_TRUE(graph_result.ok());
-  Digraph graph = std::move(graph_result).value();
-  std::vector<std::vector<int>> attributes = {dataset.communities};
-
-  hypergraph::SocialInfluenceOptions social_opts;
-  hypergraph::MultiHopOptions multihop_opts;
-  multihop_opts.num_hops = 2;
-  const hypergraph::Hypergraph mono_social =
-      hypergraph::BuildSocialInfluenceHypergroup(graph, social_opts);
-  const hypergraph::Hypergraph mono_attr =
-      hypergraph::BuildAttributeHypergroup(dataset.num_users, attributes);
-  const hypergraph::Hypergraph mono_pair =
-      hypergraph::BuildPairwiseHypergroup(graph);
-  const hypergraph::Hypergraph mono_hop =
-      hypergraph::BuildMultiHopHypergroup(graph, multihop_opts);
-
-  for (int num_shards : ShardingSweep()) {
-    auto sharding = UserSharding::Create(dataset.num_users, num_shards);
-    ASSERT_TRUE(sharding.ok());
-    for (int threads : {1, 2, 8}) {
-      SetNumThreads(threads);
-      ExpectHypergraphEqual(hypergraph::BuildSocialInfluenceHypergroupSharded(
-                                graph, sharding.value(), social_opts),
-                            mono_social);
-      ExpectHypergraphEqual(hypergraph::BuildAttributeHypergroupSharded(
-                                sharding.value(), attributes),
-                            mono_attr);
-      ExpectHypergraphEqual(
-          hypergraph::BuildPairwiseHypergroupSharded(graph, sharding.value()),
-          mono_pair);
-      ExpectHypergraphEqual(hypergraph::BuildMultiHopHypergroupSharded(
-                                graph, sharding.value(), multihop_opts),
-                            mono_hop);
-    }
-    SetNumThreads(0);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +190,7 @@ TEST_F(ShardedPlanTest, ScoresBitIdenticalToMonolithicPlan) {
   PredictorFixture fx;
   std::vector<data::TrustPair> pairs = fx.Pairs(64);
   std::vector<float> mono = fx.predictor->PredictProbabilities(pairs);
-  for (int num_shards : ShardingSweep()) {
+  for (int num_shards : {1, 3}) {
     for (int resident : {1, 2}) {
       for (int threads : {1, 2, 8}) {
         SetNumThreads(threads);
