@@ -5,6 +5,8 @@
 //   * hypergroup builders,
 //   * sparse kernels (SpMM / SpGEMM) and the adaptive conv's segment ops.
 
+#include <iterator>
+
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.h"
@@ -76,6 +78,45 @@ void BM_MatMulThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulThreads)
     ->ArgsProduct({{256, 512, 1024}, {1, 2, 4, 8}})
+    ->Unit(benchmark::kMillisecond);
+
+/// The dense GEMM shapes that dominate an AHNTP training epoch at ~2k
+/// users (trustbench train): the shared-attention score matvec over the
+/// 54,233 incidence pairs, its two backward forms, and the forward/backward
+/// pair of the layer-2 weight on 50,010 rows of width 32.
+struct TrainShape {
+  const char* label;
+  size_t m, k, n;
+  bool transpose_a, transpose_b;
+};
+const TrainShape kTrainShapes[] = {
+    {"score NN X(54233x64)*w(64x1)", 54233, 64, 1, false, false},
+    {"score grad NT g(54233x1)*w^T", 54233, 1, 64, false, true},
+    {"score grad TN X^T*g(54233x1)", 64, 54233, 1, true, false},
+    {"weight grad TN X^T(32x50010)*G", 32, 50010, 32, true, false},
+    {"input grad NT G(50010x32)*W^T", 50010, 32, 32, false, true},
+};
+
+void BM_MatMulTrainShapes(benchmark::State& state) {
+  ThreadScope scope(1);
+  const TrainShape& s = kTrainShapes[state.range(0)];
+  Rng rng(13);
+  tensor::Matrix a = s.transpose_a ? tensor::Matrix::Randn(s.k, s.m, &rng)
+                                   : tensor::Matrix::Randn(s.m, s.k, &rng);
+  tensor::Matrix b = s.transpose_b ? tensor::Matrix::Randn(s.n, s.k, &rng)
+                                   : tensor::Matrix::Randn(s.k, s.n, &rng);
+  tensor::Matrix out;
+  for (auto _ : state) {
+    tensor::MatMulInto(&out, a, b, s.transpose_a, s.transpose_b);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.label);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(2 * s.m * s.k * s.n));
+}
+BENCHMARK(BM_MatMulTrainShapes)
+    ->DenseRange(0, std::size(kTrainShapes) - 1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SpMMThreads(benchmark::State& state) {

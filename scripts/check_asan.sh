@@ -7,10 +7,14 @@
 # common/fileio.*, nn/serialization.*, the divergence guard, and the sweep
 # state machinery): corruption handling parses attacker-shaped bytes, so
 # the parsers must come back clean under sanitizers before changes land.
+# It is also the gate for the AVX2 GEMM kernels (tensor/kernels_avx2.cc),
+# whose 8-wide unaligned and masked loads at row and column tails must stay
+# inside their buffers: kernel_parity_test and matrix_test drive them.
 set -eu
 cd "$(dirname "$0")/.."
 
-tests=(fault_test fuzz_test nn_test data_test core_test common_test "$@")
+tests=(fault_test fuzz_test nn_test data_test core_test common_test
+       kernel_parity_test matrix_test "$@")
 
 build_dir="build-addresssan"
 cmake -B "$build_dir" -S . -DAHNTP_SANITIZE=address \

@@ -25,6 +25,12 @@ constexpr size_t kReduceGrain = size_t{1} << 15;
 /// repeatedly while they are still cache-resident.
 constexpr size_t kMatMulKBlock = 64;
 
+/// Output rows per chunk of the in-place a^T * b kernel. Every chunk
+/// streams all k rows of a and b, so the chunk is sized by that pass, not by
+/// the per-row cost: 64 rows is one register-resident slice of the n = 1
+/// kernel. A constant, so chunking never depends on the thread count.
+constexpr size_t kMatMulTNGrain = 64;
+
 }  // namespace
 
 Matrix::Matrix(size_t rows, size_t cols, std::vector<float> data)
@@ -291,28 +297,38 @@ void MatMulRowBandNT(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
 }
 
 /// Uncounted kernel body shared by MatMul and MatMulInto; the public
-/// entries record their metrics exactly once even on the transpose_a path,
-/// which re-enters here after materializing a^T. `out` is reshaped (buffer
-/// reuse, see Matrix::ResetShape) and fully overwritten.
+/// entries record their metrics exactly once even on the paths that
+/// re-enter here after materializing a^T. `out` is reshaped (buffer reuse,
+/// see Matrix::ResetShape) and fully overwritten.
 void MatMulIntoImpl(Matrix* out, const Matrix& a, const Matrix& b,
                     bool transpose_a, bool transpose_b) {
+  AHNTP_CHECK(out != &a && out != &b) << "MatMulInto cannot alias an input";
   const size_t m = transpose_a ? a.cols() : a.rows();
   const size_t k = transpose_a ? a.rows() : a.cols();
   const size_t k2 = transpose_b ? b.cols() : b.rows();
   const size_t n = transpose_b ? b.rows() : b.cols();
   AHNTP_CHECK_EQ(k, k2);
-  if (transpose_a) {
-    // The a^T variants would scatter across output rows if parallelized
-    // directly; materializing a^T (itself row-parallel) reduces them to the
-    // row-parallel kernels below at O(m*k) extra traffic.
+  const bool avx2 = simd::UseAvx2();
+  if (transpose_a && (transpose_b || !avx2)) {
+    // The scalar a^T forms (and a^T * b^T) materialize a^T (itself
+    // row-parallel) and reuse the row-parallel kernels below at O(m*k)
+    // extra traffic.
     MatMulIntoImpl(out, a.Transposed(), b, /*transpose_a=*/false,
                    transpose_b);
     return;
   }
-  AHNTP_CHECK(out != &a && out != &b) << "MatMulInto cannot alias an input";
   out->ResetShape(m, n);
+  if (transpose_a) {
+    // AVX2 reads a^T in place: each chunk owns output rows [r0, r1), i.e.
+    // columns [r0, r1) of a, and accumulates into zeroed rows.
+    out->Fill(0.0f);
+    ParallelFor(0, m, kMatMulTNGrain, [&](size_t r0, size_t r1) {
+      simd::MatMulBandTN(a.data(), b.data(), out->data(), r0, r1, k, m, n,
+                         kMatMulKBlock);
+    });
+    return;
+  }
   const size_t grain = GrainForCost(k * std::max<size_t>(n, 1));
-  const bool avx2 = simd::UseAvx2();
   if (!transpose_b) {
     // The NN band kernel accumulates, so the reused buffer is zeroed first
     // (the NT kernel assigns every element and needs no clear).

@@ -149,8 +149,9 @@ Matrix GatherRows(const Matrix& a, const std::vector<int>& indices);
 // noted, `out` may alias `a` for the elementwise forms only.
 // ---------------------------------------------------------------------------
 
-/// out = op(a) * op(b). `out` must not alias an input. The transpose_a path
-/// materializes a^T and is therefore not allocation-free.
+/// out = op(a) * op(b). `out` must not alias an input (CHECKed for every
+/// form). Under AVX2, a^T * b reads a in place and is allocation-free once
+/// `out` is warmed; the scalar a^T forms and a^T * b^T materialize a^T.
 void MatMulInto(Matrix* out, const Matrix& a, const Matrix& b,
                 bool transpose_a = false, bool transpose_b = false);
 

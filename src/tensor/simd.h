@@ -67,16 +67,39 @@ double SumSqF64(const float* a, size_t n);
 /// sum over i of ((double)a[i] - mean)^2.
 double SumSqDiffF64(const float* a, double mean, size_t n);
 
-/// Row band [r0, r1) of out = a * b (row-major, a is (m x k), b is (k x n)),
-/// k-blocked like the scalar MatMulRowBandNN with an FMA-vectorized j loop.
-/// `out` rows must be zeroed on entry (the kernel accumulates).
+// The three GEMM bands share one per-element definition, whatever kernel
+// a shape picks, so the shape-aware kernels below are bitwise-identical to
+// each other and to the general band (fma tier against scalar):
+//  * NN and TN: out(i, j) starts at +0 and takes fma(av, b(p, j), out(i, j))
+//    for p ascending, skipping every av == 0 (so 0 x inf/NaN in b never
+//    reaches out);
+//  * NT: out(i, j) = (float)DotF64(a row i, b row j, k).
+// kernel_parity_test checks each form against this definition and
+// kernel_golden_test pins the resulting bits per ISA.
+
+/// Row band [r0, r1) of out = a * b (row-major, a is (m x k), b is (k x n)).
+/// n = 1 runs eight rows as the lanes of one vector over 8x8-transposed
+/// blocks of a; n in {8, 16, ..., 64} keeps each output row in registers
+/// across k; other n run k-blocked like the scalar MatMulRowBandNN with an
+/// FMA-vectorized j loop. `out` rows must be zeroed on entry (the general
+/// form accumulates).
 void MatMulBandNN(const float* a, const float* b, float* out, size_t r0,
                   size_t r1, size_t k, size_t n, size_t kblock);
 
-/// Row band [r0, r1) of out = a * b^T (b is (nb x k)): per-element
-/// double-FMA dot products.
+/// Row band [r0, r1) of out = a * b^T (b is (nb x k)). k = 1 is the outer
+/// product, computed as DotF64 does in double (0.0 + exact product, so a
+/// -0 product is +0); otherwise tiles of two a rows by four b rows share
+/// their converted loads and reduce with DotF64's HSum order and tail.
 void MatMulBandNT(const float* a, const float* b, float* out, size_t r0,
                   size_t r1, size_t k, size_t nb);
+
+/// Row band [r0, r1) of out = a^T * b, a (k x m) and b (k x n) read in place
+/// (no transpose copy). n = 1 streams a once with up to 64 output rows in
+/// registers and masked loads for a partial slice; n in {8, 16, ..., 64}
+/// runs register tiles over k-blocks of `kblock` rows; other n accumulate
+/// outer products row p by row p. `out` rows must be zeroed on entry.
+void MatMulBandTN(const float* a, const float* b, float* out, size_t r0,
+                  size_t r1, size_t k, size_t m, size_t n, size_t kblock);
 
 /// Row band of out = A * B for CSR A (gather form), FMA axpy inner loop.
 /// `out` rows must be zeroed on entry.

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -280,8 +281,8 @@ TEST_F(KernelParityTest, BroadcastAndSegmentBitwise) {
 TEST_F(KernelParityTest, MatMulTolerance) {
   Rng rng(53);
   const struct { size_t m, k, n; } shapes[] = {
-      {1, 1, 1}, {3, 5, 7}, {7, 9, 8}, {8, 8, 8},
-      {17, 33, 9}, {64, 31, 100}, {2, 257, 3},
+      {1, 1, 1},   {3, 5, 7},    {7, 9, 8},  {8, 8, 8},   {17, 33, 9},
+      {64, 31, 100}, {2, 257, 3}, {70, 40, 1}, {19, 1, 37}, {73, 30, 32},
   };
   for (const auto& s : shapes) {
     Matrix a = Matrix::Randn(s.m, s.k, &rng);
@@ -290,7 +291,8 @@ TEST_F(KernelParityTest, MatMulTolerance) {
     ExpectClose([&] { return tensor::MatMul(a, b); }, 1e-4f, "MatMul NN");
     ExpectClose([&] { return tensor::MatMul(a, bt, false, true); }, 1e-4f,
                 "MatMul NT");
-    // Transposed-A forms share the banded kernels through materialization.
+    // Scalar runs a^T * b through a materialized transpose; AVX2 reads a^T
+    // in place.
     Matrix at = a.Transposed();
     ExpectClose([&] { return tensor::MatMul(at, b, true, false); }, 1e-4f,
                 "MatMul TN");
@@ -375,21 +377,57 @@ TEST_F(KernelParityTest, SparseTolerance) {
 // Thread invariance: both ISAs must be bitwise-stable in the thread count
 // ---------------------------------------------------------------------------
 
+/// A MatMul form and shape for the thread sweep: op(a) is m x k, op(b) is
+/// k x n, about one entry of a in eight is zero.
+struct MatMulCase {
+  const char* name;
+  size_t m, k, n;
+  bool transpose_a, transpose_b;
+  Matrix a, b;
+};
+
+std::vector<MatMulCase> ThreadSweepMatMuls(Rng* rng) {
+  // The m > 64 transpose_a cases split across chunks of the fixed a^T
+  // grain, and their last chunk is a partial register slice.
+  std::vector<MatMulCase> cases = {
+      {"NN", 33, 17, 29, false, false, {}, {}},
+      {"NN n=1", 133, 70, 1, false, false, {}, {}},
+      {"NN n=32", 70, 19, 32, false, false, {}, {}},
+      {"NT", 133, 19, 29, false, true, {}, {}},
+      {"NT k=1", 133, 1, 37, false, true, {}, {}},
+      {"TN n=1", 150, 200, 1, true, false, {}, {}},
+      {"TN n=24", 150, 33, 24, true, false, {}, {}},
+      {"TN n=7", 130, 40, 7, true, false, {}, {}},
+  };
+  for (MatMulCase& c : cases) {
+    c.a = c.transpose_a ? Matrix::Randn(c.k, c.m, rng)
+                        : Matrix::Randn(c.m, c.k, rng);
+    c.b = c.transpose_b ? Matrix::Randn(c.n, c.k, rng)
+                        : Matrix::Randn(c.k, c.n, rng);
+    for (size_t i = 0; i < c.a.size(); i += 8) c.a.data()[i] = 0.0f;
+  }
+  return cases;
+}
+
 TEST_F(KernelParityTest, ThreadCountInvariance) {
   Rng rng(67);
   Matrix a = Matrix::Randn(33, 17, &rng);
-  Matrix b = Matrix::Randn(17, 29, &rng);
+  std::vector<MatMulCase> matmuls = ThreadSweepMatMuls(&rng);
   CsrMatrix sp = RandomCsr(33, 33, 0.25, &rng);
   Matrix dense = Matrix::Randn(33, 17, &rng);
   IsaGuard isa_guard;
   ThreadGuard thread_guard;
   for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     SetKernelIsa(isa);
-    Matrix mm_ref, spmm_ref, spmmt_ref;
+    std::vector<Matrix> mm_ref(matmuls.size());
+    Matrix spmm_ref, spmmt_ref;
     float sum_ref = 0.0f;
     for (int threads : {1, 2, 8}) {
       SetNumThreads(threads);
-      Matrix mm = tensor::MatMul(a, b);
+      std::vector<Matrix> mm;
+      for (const MatMulCase& c : matmuls) {
+        mm.push_back(tensor::MatMul(c.a, c.b, c.transpose_a, c.transpose_b));
+      }
       Matrix spmm = tensor::SpMM(sp, dense);
       // SpMMTransposed switches between scatter and gather forms on the
       // thread count; under both ISAs the two forms must agree bitwise.
@@ -401,8 +439,11 @@ TEST_F(KernelParityTest, ThreadCountInvariance) {
         spmmt_ref = spmmt;
         sum_ref = sum;
       } else {
-        EXPECT_TRUE(BitEqual(mm_ref, mm))
-            << KernelIsaName(isa) << " MatMul drifted at threads=" << threads;
+        for (size_t i = 0; i < matmuls.size(); ++i) {
+          EXPECT_TRUE(BitEqual(mm_ref[i], mm[i]))
+              << KernelIsaName(isa) << " MatMul " << matmuls[i].name
+              << " drifted at threads=" << threads;
+        }
         EXPECT_TRUE(BitEqual(spmm_ref, spmm))
             << KernelIsaName(isa) << " SpMM drifted at threads=" << threads;
         EXPECT_TRUE(BitEqual(spmmt_ref, spmmt))
@@ -410,6 +451,146 @@ TEST_F(KernelParityTest, ThreadCountInvariance) {
             << threads;
         EXPECT_EQ(sum_ref, sum)
             << KernelIsaName(isa) << " Sum drifted at threads=" << threads;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 GEMM kernels: every shape-specific kernel computes the one
+// per-element definition of its form (tensor/simd.h), bit for bit
+// ---------------------------------------------------------------------------
+
+/// True when both are NaN or both have the same bits.
+bool SameFloat(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+/// Randn scaled by 2^e, e uniform in [-24, 24], so terms of very different
+/// size meet in every sum; about one entry in six is +-0.
+Matrix WideRangeMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m = Matrix::Randn(rows, cols, rng);
+  for (size_t i = 0; i < m.size(); ++i) {
+    const int e = static_cast<int>(rng->NextBounded(49)) - 24;
+    m.data()[i] = std::ldexp(m.data()[i], e);
+    if (rng->NextBounded(6) == 0) m.data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  return m;
+}
+
+TEST_F(KernelParityTest, GemmKernelsMatchTheirPerElementDefinition) {
+  IsaGuard guard;
+  SetKernelIsa(KernelIsa::kAvx2);
+  Rng rng(79);
+  // NT has no zero skip, so its columns across from a special are NaN;
+  // every fourth column stays finite.
+  const float kSpecials[] = {std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::infinity(), 1.5f};
+  for (size_t m : {1, 5, 9, 70}) {
+    for (size_t k : {0, 1, 3, 8, 13, 70}) {
+      for (size_t n : {0, 1, 3, 8, 16, 24, 40, 64, 67}) {
+        // op(a) is m x k and op(b) is k x n. For k >= 3 the last p is zero
+        // in every row of op(a) and op(b) holds inf/NaN there.
+        Matrix a = WideRangeMatrix(m, k, &rng);
+        Matrix b = WideRangeMatrix(k, n, &rng);
+        if (k >= 3) {
+          for (size_t i = 0; i < m; ++i) a.At(i, k - 1) = 0.0f;
+          for (size_t j = 0; j < n; ++j) b.At(k - 1, j) = kSpecials[j % 4];
+        }
+        if (k >= 4) {
+          // Row 0's products are 1, 1, 2^60, -2^60 at p = 0..3 and zero
+          // after: DotF64's four lanes take one each, and only HSum's
+          // ((l0 + l1) + l2) + l3 order absorbs the 1s into 2^60 before it
+          // cancels.
+          const float a_probe[] = {1.0f, 1.0f, 0x1p30f, 0x1p30f};
+          const float b_probe[] = {1.0f, 1.0f, 0x1p30f, -0x1p30f};
+          for (size_t p = 0; p < k; ++p) {
+            a.At(0, p) = p < 4 ? a_probe[p] : 0.0f;
+            if (p >= 4) continue;
+            for (size_t j = 0; j < n; ++j) b.At(p, j) = b_probe[p];
+          }
+        }
+        if (k == 1 && n > 0) {
+          // A product below float's range: DotF64 rounds the exact double
+          // product, so it is -0, not the +0 of a rounded float product
+          // plus +0.
+          a.At(0, 0) = -0x1p-80f;
+          b.At(0, 0) = 0x1p-80f;
+        }
+        const Matrix at = a.Transposed();
+        const Matrix bt = b.Transposed();
+        const Matrix nn = tensor::MatMul(a, b);
+        const Matrix tn = tensor::MatMul(at, b, true, false);
+        const Matrix nt = tensor::MatMul(a, bt, false, true);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            // NN and TN: +0, then an FMA per nonzero a(i, p), p ascending.
+            float chain = 0.0f;
+            for (size_t p = 0; p < k; ++p) {
+              if (a.At(i, p) != 0.0f) {
+                chain = std::fma(a.At(i, p), b.At(p, j), chain);
+              }
+            }
+            // NT: DotF64 of row i of a and row j of b^T.
+            const float dot = static_cast<float>(
+                tensor::simd::DotF64(a.RowPtr(i), bt.RowPtr(j), k));
+            const std::string where = "m=" + std::to_string(m) +
+                                      " k=" + std::to_string(k) +
+                                      " n=" + std::to_string(n) + " at (" +
+                                      std::to_string(i) + ", " +
+                                      std::to_string(j) + ")";
+            EXPECT_TRUE(SameFloat(nn.At(i, j), chain)) << "NN " << where;
+            EXPECT_TRUE(SameFloat(tn.At(i, j), chain)) << "TN " << where;
+            EXPECT_TRUE(SameFloat(nt.At(i, j), dot)) << "NT " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelParityTest, GemmBandsWriteOnlyTheirRows) {
+  IsaGuard guard;
+  SetKernelIsa(KernelIsa::kAvx2);
+  Rng rng(83);
+  const float kSentinel = -12345.0f;
+  // Bands that start and end off the 8-row lanes, including the partial
+  // register slices of the TN n = 1 kernel.
+  const size_t m = 80;
+  for (size_t k : {1, 9, 70}) {
+    for (size_t n : {1, 7, 8, 16, 64}) {
+      for (size_t r0 : {0, 3}) {
+        for (size_t rows : {1, 5, 8, 13, 64, 66}) {
+          const size_t r1 = std::min(m, r0 + rows);
+          Matrix a = Matrix::Randn(m, k, &rng);    // NN, NT
+          Matrix at = Matrix::Randn(k, m, &rng);   // TN
+          Matrix b = Matrix::Randn(k, n, &rng);    // NN, TN
+          Matrix bt = Matrix::Randn(n, k, &rng);   // NT
+          for (int form = 0; form < 3; ++form) {
+            // 16 floats of slack past the last row catch a full-width
+            // store where a masked one belongs.
+            std::vector<float> out(m * n + 16, kSentinel);
+            for (size_t i = r0 * n; i < r1 * n; ++i) out[i] = 0.0f;
+            if (form == 0) {
+              tensor::simd::MatMulBandNN(a.data(), b.data(), out.data(), r0,
+                                         r1, k, n, 64);
+            } else if (form == 1) {
+              tensor::simd::MatMulBandNT(a.data(), bt.data(), out.data(),
+                                         r0, r1, k, n);
+            } else {
+              tensor::simd::MatMulBandTN(at.data(), b.data(), out.data(), r0,
+                                         r1, k, m, n, 64);
+            }
+            for (size_t i = 0; i < out.size(); ++i) {
+              if (i >= r0 * n && i < r1 * n) continue;
+              ASSERT_EQ(out[i], kSentinel)
+                  << "form " << form << " k=" << k << " n=" << n
+                  << " band [" << r0 << ", " << r1 << ") wrote float " << i;
+            }
+          }
+        }
       }
     }
   }

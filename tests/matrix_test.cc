@@ -178,5 +178,21 @@ TEST(MatrixDeathTest, ShapeMismatchChecks) {
   EXPECT_DEATH(MatMul(a, b), "check failed");
 }
 
+// The alias check runs before any form is dispatched: the transpose_a
+// forms read a in place, so writing into a (or b) would corrupt the
+// operands mid-product.
+TEST(MatrixDeathTest, MatMulIntoRejectsAliasedOutputInEveryForm) {
+  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
+  Matrix b = Matrix::FromRows({{5, 6}, {7, 8}});
+  for (bool transpose_a : {false, true}) {
+    for (bool transpose_b : {false, true}) {
+      EXPECT_DEATH(MatMulInto(&a, a, b, transpose_a, transpose_b),
+                   "cannot alias an input");
+      EXPECT_DEATH(MatMulInto(&b, a, b, transpose_a, transpose_b),
+                   "cannot alias an input");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ahntp::tensor
