@@ -9,12 +9,17 @@
 # the parsers must come back clean under sanitizers before changes land.
 # It is also the gate for the AVX2 GEMM kernels (tensor/kernels_avx2.cc),
 # whose 8-wide unaligned and masked loads at row and column tails must stay
-# inside their buffers: kernel_parity_test and matrix_test drive them.
+# inside their buffers: kernel_parity_test and matrix_test drive them. And
+# it is the gate for tape-node lifetimes: under autograd::InferenceMode an
+# op drops its inputs and each intermediate dies with its last handle, so
+# autograd_test, inference_test and models_test run every encoder's forward
+# in both modes under ASan.
 set -eu
 cd "$(dirname "$0")/.."
 
 tests=(fault_test fuzz_test nn_test data_test core_test common_test
-       kernel_parity_test matrix_test "$@")
+       kernel_parity_test matrix_test autograd_test inference_test
+       models_test "$@")
 
 build_dir="build-addresssan"
 cmake -B "$build_dir" -S . -DAHNTP_SANITIZE=address \

@@ -13,11 +13,13 @@ using tensor::Matrix;
 namespace {
 
 /// Builds an op node. `backward` may capture raw Node pointers of inputs;
-/// they stay alive because the node holds shared_ptrs to them.
+/// they stay alive because the node holds shared_ptrs to them. Under an
+/// InferenceMode scope the node keeps only its value.
 Variable MakeOp(Matrix value, std::vector<std::shared_ptr<Node>> inputs,
                 std::function<void(Node&)> backward) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
+  if (InferenceMode::active()) return Variable(node);
   for (const auto& in : inputs) {
     if (in->requires_grad) node->requires_grad = true;
   }
@@ -541,7 +543,7 @@ Variable ReduceMean(const Variable& a) {
 }
 
 Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
-  if (!training || p <= 0.0f) return a;
+  if (!training || p <= 0.0f || InferenceMode::active()) return a;
   AHNTP_CHECK(p < 1.0f);
   AHNTP_CHECK(rng != nullptr);
   Matrix mask(a.rows(), a.cols());

@@ -138,7 +138,8 @@ Variable ReduceMean(const Variable& a);
 // Regularization
 // ---------------------------------------------------------------------------
 
-/// Inverted dropout; identity when !training or p == 0.
+/// Inverted dropout; identity when !training, p == 0 or under an
+/// InferenceMode scope.
 Variable Dropout(const Variable& a, float p, Rng* rng, bool training);
 
 }  // namespace ahntp::autograd

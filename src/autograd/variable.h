@@ -74,6 +74,30 @@ class Variable {
   std::shared_ptr<Node> node_;
 };
 
+/// RAII scope that switches the calling thread's tape off. While one is
+/// alive, every op in autograd/ops.h computes its value but records no
+/// inputs and no backward closure (the result never requires grad, and
+/// each intermediate is freed as soon as its handle drops), and Dropout is
+/// the identity and draws no RNG whatever its `training` argument says.
+/// That is eval mode with the tape bookkeeping skipped, so an encoder's
+/// one Forward serves both training and inference. Scopes nest; each
+/// restores the mode it found, also when an exception unwinds it. The
+/// mode is thread-local: other threads keep recording.
+class InferenceMode {
+ public:
+  InferenceMode() : previous_(active_) { active_ = true; }
+  ~InferenceMode() { active_ = previous_; }
+  InferenceMode(const InferenceMode&) = delete;
+  InferenceMode& operator=(const InferenceMode&) = delete;
+
+  /// Whether an InferenceMode scope is alive on the calling thread.
+  static bool active() { return active_; }
+
+ private:
+  static inline thread_local bool active_ = false;
+  bool previous_;
+};
+
 /// Convenience: a trainable parameter variable.
 inline Variable Parameter(tensor::Matrix value) {
   return Variable(std::move(value), /*requires_grad=*/true);

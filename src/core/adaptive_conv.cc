@@ -85,57 +85,6 @@ Variable AdaptiveHypergraphConv::Forward(const Variable& x) const {
   return autograd::Relu(combined);
 }
 
-tensor::Matrix& AdaptiveHypergraphConv::Infer(const tensor::Matrix& x,
-                                              tensor::Workspace* ws) const {
-  using tensor::Matrix;
-  AHNTP_CHECK_EQ(x.rows(), num_vertices_);
-  Matrix* mess_e = ws->Acquire(edge_mean_.rows(), x.cols());
-  tensor::SpMMInto(mess_e, edge_mean_, x);
-  Matrix* h_e = ws->Acquire(mess_e->rows(), mess_e->cols());
-  tensor::MulColBroadcastInto(h_e, *mess_e, edge_weight_.value());
-
-  if (!use_attention_) {
-    Matrix* mess_v = ws->Acquire(vertex_mean_.rows(), h_e->cols());
-    tensor::SpMMInto(mess_v, vertex_mean_, *h_e);
-    Matrix& out = nn::InferLinear(*heads_.front().transform, *mess_v, ws);
-    tensor::ReluInto(&out, out);
-    return out;
-  }
-
-  const size_t p = pairs_.vertex.size();
-  std::vector<Matrix*> head_outputs;
-  head_outputs.reserve(heads_.size());
-  for (const Head& head : heads_) {
-    Matrix& wh_e = nn::InferLinear(*head.transform, *h_e, ws);
-    Matrix& wx = nn::InferLinear(*head.transform, x, ws);
-    Matrix* wx_pairs = ws->Acquire(p, wx.cols());
-    tensor::GatherRowsInto(wx_pairs, wx, pairs_.vertex);
-    Matrix* whe_pairs = ws->Acquire(p, wh_e.cols());
-    tensor::GatherRowsInto(whe_pairs, wh_e, pairs_.edge);
-    Matrix* score = ws->Acquire(p, 1);
-    tensor::MatMulInto(score, *wx_pairs, head.attn_vertex.value());
-    Matrix* score_edge = ws->Acquire(p, 1);
-    tensor::MatMulInto(score_edge, *whe_pairs, head.attn_edge.value());
-    tensor::AddInto(score, *score, *score_edge);
-    tensor::LeakyReluInto(score, *score, leaky_slope_);
-    Matrix* alpha = ws->Acquire(p, 1);
-    tensor::SegmentSoftmaxInto(alpha, *score, pairs_.vertex, num_vertices_);
-    tensor::MulColBroadcastInto(whe_pairs, *whe_pairs, *alpha);
-    Matrix* agg = ws->Acquire(num_vertices_, whe_pairs->cols());
-    tensor::SegmentSumInto(agg, *whe_pairs, pairs_.vertex, num_vertices_);
-    head_outputs.push_back(agg);
-  }
-  Matrix* combined = head_outputs.front();
-  if (head_outputs.size() > 1) {
-    combined = ws->Acquire(num_vertices_, out_features_);
-    std::vector<const Matrix*> parts(head_outputs.begin(),
-                                     head_outputs.end());
-    tensor::ConcatColsInto(combined, parts);
-  }
-  tensor::ReluInto(combined, *combined);
-  return *combined;
-}
-
 tensor::Matrix& AdaptiveHypergraphConv::InferRows(
     const tensor::Matrix& x, const std::vector<int>& vertices,
     tensor::Workspace* ws) const {

@@ -37,13 +37,9 @@ class AdaptiveHypergraphConv : public nn::Module {
   /// x is (num_vertices x in_features); returns (num_vertices x out).
   autograd::Variable Forward(const autograd::Variable& x) const;
 
-  /// Tape-free forward; bit-identical to Forward(). Returns a `ws` buffer.
-  /// Does not update last_attention() — explanations stay on the tape path.
-  tensor::Matrix& Infer(const tensor::Matrix& x, tensor::Workspace* ws) const;
-
   /// Tape-free forward restricted to `vertices` (ascending, deduplicated,
   /// in range): returns a (|vertices| x out_features) buffer whose i-th row
-  /// is bit-identical to row vertices[i] of Infer(x, ws). `x` is the FULL
+  /// is bit-identical to row vertices[i] of Forward(x). `x` is the FULL
   /// previous-layer matrix; only the incident hyperedges of the requested
   /// vertices are processed, so cost scales with the dirty neighbourhood
   /// instead of the graph. The restricted attention pass stays bitwise

@@ -86,10 +86,13 @@ AhntpModel::Branch AhntpModel::MakeBranch(const Hypergraph& hg, size_t in_dim,
   return branch;
 }
 
-Variable AhntpModel::RunBranch(const Branch& branch, const Variable& x) {
+Variable AhntpModel::RunBranch(const Branch& branch, const Variable& x,
+                               std::vector<tensor::Matrix>* snapshots) {
   Variable h = branch.feature_mlp->Forward(x);
+  if (snapshots != nullptr) snapshots->push_back(h.value());
   for (size_t i = 0; i < branch.convs.size(); ++i) {
     h = branch.convs[i]->Forward(h);
+    if (snapshots != nullptr) snapshots->push_back(h.value());
     if (i + 1 < branch.convs.size()) {
       h = autograd::Dropout(h, dropout_, rng_, training_);
     }
@@ -103,53 +106,15 @@ Variable AhntpModel::EncodeUsers() {
   return autograd::ConcatCols({node_embedding, structure_embedding});
 }
 
-tensor::Matrix& AhntpModel::InferBranch(const Branch& branch,
-                                        const tensor::Matrix& x,
-                                        tensor::Workspace* ws) {
-  const tensor::Matrix* h = &nn::InferMlp(*branch.feature_mlp, x, ws);
-  tensor::Matrix* out = nullptr;
-  for (const auto& conv : branch.convs) {
-    out = &conv->Infer(*h, ws);
-    h = out;
+tensor::Matrix AhntpModel::InferUsersCached() {
+  autograd::InferenceMode inference;
+  std::vector<Variable> embeddings;
+  for (Branch* branch : {&node_branch_, &structure_branch_}) {
+    branch->cache.clear();
+    branch->cache.reserve(branch->convs.size() + 1);
+    embeddings.push_back(RunBranch(*branch, features_, &branch->cache));
   }
-  return *out;
-}
-
-tensor::Matrix AhntpModel::InferUsers(tensor::Workspace* ws) {
-  tensor::Matrix& node_embedding =
-      InferBranch(node_branch_, features_.value(), ws);
-  tensor::Matrix& structure_embedding =
-      InferBranch(structure_branch_, features_.value(), ws);
-  tensor::Matrix* out = ws->Acquire(
-      node_embedding.rows(),
-      node_embedding.cols() + structure_embedding.cols());
-  tensor::ConcatColsInto(out, {&node_embedding, &structure_embedding});
-  return *out;
-}
-
-tensor::Matrix& AhntpModel::InferBranchCached(Branch& branch,
-                                              const tensor::Matrix& x,
-                                              tensor::Workspace* ws) {
-  branch.cache.clear();
-  branch.cache.reserve(branch.convs.size() + 1);
-  const tensor::Matrix* h = &nn::InferMlp(*branch.feature_mlp, x, ws);
-  branch.cache.push_back(*h);
-  for (const auto& conv : branch.convs) {
-    h = &conv->Infer(*h, ws);
-    branch.cache.push_back(*h);
-  }
-  return branch.cache.back();
-}
-
-tensor::Matrix AhntpModel::InferUsersCached(tensor::Workspace* ws) {
-  tensor::Matrix& node_embedding =
-      InferBranchCached(node_branch_, features_.value(), ws);
-  tensor::Matrix& structure_embedding =
-      InferBranchCached(structure_branch_, features_.value(), ws);
-  tensor::Matrix out(node_embedding.rows(),
-                     node_embedding.cols() + structure_embedding.cols());
-  tensor::ConcatColsInto(&out, {&node_embedding, &structure_embedding});
-  return out;
+  return autograd::ConcatCols(embeddings).value();
 }
 
 std::vector<int> AhntpModel::RefreshBranch(
@@ -298,10 +263,10 @@ std::vector<AhntpModel::HyperedgeInfluence> AhntpModel::ExplainUser(
   AHNTP_CHECK(config_.use_attention)
       << "ExplainUser requires the attention variant";
   AHNTP_CHECK(u >= 0 && static_cast<size_t>(u) < node_hg_.num_vertices());
-  bool was_training = training_;
-  SetTraining(false);
-  EncodeUsers();  // refreshes last_attention() on every conv layer
-  SetTraining(was_training);
+  {
+    autograd::InferenceMode inference;
+    EncodeUsers();  // refreshes last_attention() on every conv layer
+  }
 
   std::vector<HyperedgeInfluence> influences;
   struct BranchView {

@@ -71,7 +71,6 @@ class AhntpModel : public models::Encoder {
   AhntpModel(const models::ModelInputs& inputs, const AhntpConfig& config);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override {
     return 2 * config_.hidden_dims.back();
   }
@@ -103,17 +102,19 @@ class AhntpModel : public models::Encoder {
   };
 
   /// Explains user u: the top_k hyperedges (across both branches) that the
-  /// final conv layer attends to most when embedding u. Runs one eval-mode
-  /// forward pass. Requires the attention variant (use_attention).
+  /// final conv layer attends to most when embedding u. Runs one forward
+  /// under autograd::InferenceMode and writes no training flags. Requires
+  /// the attention variant (use_attention).
   std::vector<HyperedgeInfluence> ExplainUser(int u, size_t top_k = 5);
 
   // --- Incremental refresh (DESIGN.md §17) ------------------------------
 
-  /// Like InferUsers() — bit-identical output — but additionally snapshots
-  /// every branch activation (the feature-MLP output and each conv layer's
-  /// output) as owned matrices. These caches are what RefreshIncremental()
-  /// reads and patches; call this once before the first refresh.
-  tensor::Matrix InferUsersCached(tensor::Workspace* ws);
+  /// Like InferUsers() — the same forward under autograd::InferenceMode,
+  /// bit-identical output — but additionally snapshots every branch
+  /// activation (the feature-MLP output and each conv layer's output) as
+  /// owned matrices. These caches are what RefreshIncremental() reads and
+  /// patches; call this once before the first refresh.
+  tensor::Matrix InferUsersCached();
 
   /// Whether InferUsersCached() has primed the activation caches.
   bool caches_primed() const { return !node_branch_.cache.empty(); }
@@ -167,12 +168,11 @@ class AhntpModel : public models::Encoder {
   };
   Branch MakeBranch(const hypergraph::Hypergraph& hg, size_t in_dim,
                     Rng* rng);
-  autograd::Variable RunBranch(const Branch& branch,
-                               const autograd::Variable& x);
-  tensor::Matrix& InferBranch(const Branch& branch, const tensor::Matrix& x,
-                              tensor::Workspace* ws);
-  tensor::Matrix& InferBranchCached(Branch& branch, const tensor::Matrix& x,
-                                    tensor::Workspace* ws);
+  /// Runs one tier. With `snapshots`, appends a copy of the feature-MLP
+  /// output and of each conv layer's output (the Branch::cache layout).
+  autograd::Variable RunBranch(
+      const Branch& branch, const autograd::Variable& x,
+      std::vector<tensor::Matrix>* snapshots = nullptr);
   /// Applies one BranchUpdate + feature-dirty seed to a branch; returns the
   /// final-layer dirty vertex set (ascending).
   std::vector<int> RefreshBranch(Branch& branch,

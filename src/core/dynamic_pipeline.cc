@@ -96,9 +96,8 @@ Result<DynamicTrustPipeline> DynamicTrustPipeline::Create(
 
   // Prime the activation caches — the full pass incremental refreshes are
   // measured against.
+  p.model_->InferUsersCached();
   p.ws_ = std::make_unique<tensor::Workspace>();
-  p.model_->InferUsersCached(p.ws_.get());
-  p.ws_->Reset();
   p.published_ = std::make_unique<Published>();
   p.published_->generation.store(p.store_->generation(),
                                  std::memory_order_release);

@@ -2,9 +2,7 @@
 
 #include "common/check.h"
 #include "models/graph_ops.h"
-#include "nn/infer.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -39,21 +37,6 @@ autograd::Variable AtneTrust::EncodeUsers() {
   autograd::Variable fused =
       fusion_->Forward(autograd::ConcatCols({latent, structure}));
   return autograd::Relu(fused);
-}
-
-tensor::Matrix AtneTrust::InferUsers(tensor::Workspace* ws) {
-  using tensor::Matrix;
-  // The decoder/reconstruction branch only feeds AuxLoss (a training-time
-  // objective) and does not influence the embeddings, so it is skipped.
-  Matrix& latent = nn::InferMlp(*attr_encoder_, features_.value(), ws);
-  Matrix* structure =
-      ws->Acquire(adjacency_op_.rows(), structure_table_.cols());
-  tensor::SpMMInto(structure, adjacency_op_, structure_table_.value());
-  Matrix* concat = ws->Acquire(latent.rows(), latent.cols() + structure->cols());
-  tensor::ConcatColsInto(concat, {&latent, structure});
-  Matrix& fused = nn::InferLinear(*fusion_, *concat, ws);
-  tensor::ReluInto(&fused, fused);
-  return fused;
 }
 
 std::vector<autograd::Variable> AtneTrust::Parameters() const {

@@ -23,7 +23,6 @@ class AtneTrust : public Encoder {
   explicit AtneTrust(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "AtNE-Trust"; }
   std::vector<autograd::Variable> Parameters() const override;

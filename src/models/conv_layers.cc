@@ -1,8 +1,6 @@
 #include "models/conv_layers.h"
 
-#include "nn/infer.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -14,13 +12,6 @@ SparseConvLayer::SparseConvLayer(tensor::CsrMatrix op, size_t in_features,
 
 Variable SparseConvLayer::Forward(const Variable& x) const {
   return linear_.Forward(autograd::SpMMConst(op_, x));
-}
-
-tensor::Matrix& SparseConvLayer::Infer(const tensor::Matrix& x,
-                                       tensor::Workspace* ws) const {
-  tensor::Matrix* prop = ws->Acquire(op_.rows(), x.cols());
-  tensor::SpMMInto(prop, op_, x);
-  return nn::InferLinear(linear_, *prop, ws);
 }
 
 GatLayer::GatLayer(AttentionEdges edges, size_t num_nodes, size_t in_features,
@@ -43,29 +34,6 @@ Variable GatLayer::Forward(const Variable& x) const {
   Variable alpha = autograd::SegmentSoftmax(score, edges_.dst, num_nodes_);
   Variable weighted = autograd::MulColBroadcast(h_src, alpha);
   return autograd::SegmentSum(weighted, edges_.dst, num_nodes_);
-}
-
-tensor::Matrix& GatLayer::Infer(const tensor::Matrix& x,
-                                tensor::Workspace* ws) const {
-  using tensor::Matrix;
-  const size_t e = edges_.src.size();
-  Matrix& h = nn::InferLinear(transform_, x, ws);
-  Matrix* h_src = ws->Acquire(e, h.cols());
-  tensor::GatherRowsInto(h_src, h, edges_.src);
-  Matrix* h_dst = ws->Acquire(e, h.cols());
-  tensor::GatherRowsInto(h_dst, h, edges_.dst);
-  Matrix* score = ws->Acquire(e, 1);
-  tensor::MatMulInto(score, *h_src, attn_src_.value());
-  Matrix* score_dst = ws->Acquire(e, 1);
-  tensor::MatMulInto(score_dst, *h_dst, attn_dst_.value());
-  tensor::AddInto(score, *score, *score_dst);
-  tensor::LeakyReluInto(score, *score, leaky_slope_);
-  Matrix* alpha = ws->Acquire(e, 1);
-  tensor::SegmentSoftmaxInto(alpha, *score, edges_.dst, num_nodes_);
-  tensor::MulColBroadcastInto(h_src, *h_src, *alpha);
-  Matrix* out = ws->Acquire(num_nodes_, h.cols());
-  tensor::SegmentSumInto(out, *h_src, edges_.dst, num_nodes_);
-  return *out;
 }
 
 std::vector<Variable> GatLayer::Parameters() const {

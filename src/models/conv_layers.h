@@ -6,7 +6,6 @@
 #include "autograd/ops.h"
 #include "models/graph_ops.h"
 #include "nn/linear.h"
-#include "tensor/workspace.h"
 
 namespace ahntp::models {
 
@@ -19,9 +18,6 @@ class SparseConvLayer : public nn::Module {
                   size_t out_features, Rng* rng);
 
   autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward; bit-identical to Forward(). Returns a `ws` buffer.
-  tensor::Matrix& Infer(const tensor::Matrix& x, tensor::Workspace* ws) const;
 
   std::vector<autograd::Variable> Parameters() const override {
     return linear_.Parameters();
@@ -42,9 +38,6 @@ class GatLayer : public nn::Module {
            size_t out_features, Rng* rng, float leaky_slope = 0.2f);
 
   autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward; bit-identical to Forward(). Returns a `ws` buffer.
-  tensor::Matrix& Infer(const tensor::Matrix& x, tensor::Workspace* ws) const;
 
   std::vector<autograd::Variable> Parameters() const override;
   std::vector<nn::Module*> Submodules() override { return {&transform_}; }

@@ -9,7 +9,6 @@
 #include "graph/digraph.h"
 #include "hypergraph/hypergraph.h"
 #include "nn/module.h"
-#include "tensor/workspace.h"
 
 namespace ahntp::models {
 
@@ -37,19 +36,14 @@ class Encoder : public nn::Module {
   /// Embeds all users. Respects Module::training() for dropout.
   virtual autograd::Variable EncodeUsers() = 0;
 
-  /// Tape-free eval-mode embedding of all users, bit-identical to
-  /// EncodeUsers() with training off. Intermediates live in `ws`; the
-  /// returned matrix is an owned copy (it outlives the workspace reset —
-  /// InferencePlan caches it across batches). The default falls back to
-  /// running the tape in eval mode, so new encoders are correct before
-  /// they are fast; encoders override it with a kernel-level pass.
-  virtual tensor::Matrix InferUsers(tensor::Workspace* ws) {
-    (void)ws;
-    bool was_training = training();
-    SetTraining(false);
-    tensor::Matrix out = EncodeUsers().value();
-    SetTraining(was_training);
-    return out;
+  /// Eval-mode embedding of all users: EncodeUsers() under an
+  /// autograd::InferenceMode scope, so no tape is recorded, every
+  /// intermediate is freed as soon as its handle drops, and dropout is the
+  /// identity whatever training() says. Writes no training flags, and the
+  /// result is bit-identical to EncodeUsers() with training off.
+  tensor::Matrix InferUsers() {
+    autograd::InferenceMode inference;
+    return EncodeUsers().value();
   }
 
   /// Output embedding width.

@@ -1,7 +1,6 @@
 #include "models/gat.h"
 
 #include "common/check.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -32,17 +31,6 @@ autograd::Variable Gat::EncodeUsers() {
     }
   }
   return h;
-}
-
-tensor::Matrix Gat::InferUsers(tensor::Workspace* ws) {
-  const tensor::Matrix* h = &features_.value();
-  tensor::Matrix* out = nullptr;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    out = &layers_[i]->Infer(*h, ws);
-    if (i + 1 < layers_.size()) tensor::ReluInto(out, *out);
-    h = out;
-  }
-  return *out;
 }
 
 std::vector<autograd::Variable> Gat::Parameters() const {

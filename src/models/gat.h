@@ -15,7 +15,6 @@ class Gat : public Encoder {
   explicit Gat(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "GAT"; }
   std::vector<autograd::Variable> Parameters() const override;

@@ -2,8 +2,6 @@
 
 #include "common/check.h"
 #include "models/graph_ops.h"
-#include "nn/infer.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -40,25 +38,6 @@ autograd::Variable Guardian::EncodeUsers() {
     }
   }
   return h;
-}
-
-tensor::Matrix Guardian::InferUsers(tensor::Workspace* ws) {
-  using tensor::Matrix;
-  const Matrix* h = &features_.value();
-  Matrix* out = nullptr;
-  for (size_t i = 0; i < out_weights_.size(); ++i) {
-    Matrix* prop_out = ws->Acquire(out_op_.rows(), h->cols());
-    tensor::SpMMInto(prop_out, out_op_, *h);
-    Matrix& forward = nn::InferLinear(*out_weights_[i], *prop_out, ws);
-    Matrix* prop_in = ws->Acquire(in_op_.rows(), h->cols());
-    tensor::SpMMInto(prop_in, in_op_, *h);
-    Matrix& backward = nn::InferLinear(*in_weights_[i], *prop_in, ws);
-    tensor::AddInto(&forward, forward, backward);
-    tensor::ReluInto(&forward, forward);
-    out = &forward;
-    h = out;
-  }
-  return *out;
 }
 
 std::vector<autograd::Variable> Guardian::Parameters() const {

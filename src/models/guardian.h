@@ -18,7 +18,6 @@ class Guardian : public Encoder {
   explicit Guardian(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "Guardian"; }
   std::vector<autograd::Variable> Parameters() const override;

@@ -1,7 +1,6 @@
 #include "models/hgnn_plus.h"
 
 #include "common/check.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -30,17 +29,6 @@ autograd::Variable HgnnPlus::EncodeUsers() {
     }
   }
   return h;
-}
-
-tensor::Matrix HgnnPlus::InferUsers(tensor::Workspace* ws) {
-  const tensor::Matrix* h = &features_.value();
-  tensor::Matrix* out = nullptr;
-  for (const auto& layer : layers_) {
-    out = &layer->Infer(*h, ws);
-    tensor::ReluInto(out, *out);
-    h = out;
-  }
-  return *out;
 }
 
 std::vector<autograd::Variable> HgnnPlus::Parameters() const {

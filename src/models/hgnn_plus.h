@@ -18,7 +18,6 @@ class HgnnPlus : public Encoder {
   explicit HgnnPlus(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "HGNN+"; }
   std::vector<autograd::Variable> Parameters() const override;

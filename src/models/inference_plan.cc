@@ -431,13 +431,7 @@ Status InferencePlan::EnsureBuilt() {
   AHNTP_METRIC_COUNT("infer.cache_misses", 1);
   AHNTP_METRIC_COUNT("infer.plan_builds", 1);
   store_.reset();  // free the stale table before encoding the new one
-  // The all-user encode needs per-layer buffers far larger than the scoring
-  // chain; a throwaway arena keeps that storage from lingering in ws_.
-  tensor::Matrix table;
-  {
-    tensor::Workspace encode_ws;
-    table = predictor_->encoder().InferUsers(&encode_ws);
-  }
+  tensor::Matrix table = predictor_->encoder().InferUsers();
   const bool int8 = precision_ == PlanPrecision::kInt8;
   if (int8) {
     if (has_external_calib_) {

@@ -2,8 +2,6 @@
 
 #include "common/check.h"
 #include "models/graph_ops.h"
-#include "nn/infer.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -69,27 +67,6 @@ autograd::Variable KgTrust::EncodeUsers() {
     }
   }
   return h;
-}
-
-tensor::Matrix KgTrust::InferUsers(tensor::Workspace* ws) {
-  using tensor::Matrix;
-  Matrix& knowledge = nn::InferLinear(*knowledge_proj_, knowledge_.value(), ws);
-  tensor::ReluInto(&knowledge, knowledge);
-  Matrix* h = ws->Acquire(features_.rows(),
-                          features_.cols() + knowledge.cols());
-  tensor::ConcatColsInto(h, {&features_.value(), &knowledge});
-  Matrix* out = nullptr;
-  for (size_t i = 0; i < self_weights_.size(); ++i) {
-    Matrix& self_term = nn::InferLinear(*self_weights_[i], *h, ws);
-    Matrix* prop = ws->Acquire(adjacency_op_.rows(), h->cols());
-    tensor::SpMMInto(prop, adjacency_op_, *h);
-    Matrix& nbr_term = nn::InferLinear(*nbr_weights_[i], *prop, ws);
-    tensor::AddInto(&self_term, self_term, nbr_term);
-    tensor::ReluInto(&self_term, self_term);
-    out = &self_term;
-    h = out;
-  }
-  return *out;
 }
 
 std::vector<autograd::Variable> KgTrust::Parameters() const {

@@ -19,7 +19,6 @@ class KgTrust : public Encoder {
   explicit KgTrust(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "KGTrust"; }
   std::vector<autograd::Variable> Parameters() const override;

@@ -17,11 +17,4 @@ autograd::Variable MatrixFactorization::EncodeUsers() {
   return autograd::ConcatCols({trustor_, trustee_});
 }
 
-tensor::Matrix MatrixFactorization::InferUsers(tensor::Workspace* ws) {
-  tensor::Matrix* out =
-      ws->Acquire(trustor_.rows(), trustor_.cols() + trustee_.cols());
-  tensor::ConcatColsInto(out, {&trustor_.value(), &trustee_.value()});
-  return *out;
-}
-
 }  // namespace ahntp::models

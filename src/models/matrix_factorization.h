@@ -19,7 +19,6 @@ class MatrixFactorization : public Encoder {
   explicit MatrixFactorization(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return 2 * rank_; }
   std::string name() const override { return "MF"; }
   std::vector<autograd::Variable> Parameters() const override {

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "models/graph_ops.h"
-#include "nn/infer.h"
 
 namespace ahntp::models {
 
@@ -26,10 +25,6 @@ Sgc::Sgc(const ModelInputs& inputs, int propagation_steps)
 
 autograd::Variable Sgc::EncodeUsers() {
   return linear_.Forward(propagated_);
-}
-
-tensor::Matrix Sgc::InferUsers(tensor::Workspace* ws) {
-  return nn::InferLinear(linear_, propagated_.value(), ws);
 }
 
 }  // namespace ahntp::models

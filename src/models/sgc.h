@@ -15,7 +15,6 @@ class Sgc : public Encoder {
   explicit Sgc(const ModelInputs& inputs, int propagation_steps = 2);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return linear_.out_features(); }
   std::string name() const override { return "SGC"; }
   std::vector<autograd::Variable> Parameters() const override {

@@ -57,26 +57,21 @@ TrustPredictor::PairOutput TrustPredictor::Forward(
 
 std::vector<float> TrustPredictor::PredictProbabilities(
     const std::vector<data::TrustPair>& pairs) {
-  // The flags are toggled only when set: an eval-mode read then writes
-  // nothing in the module tree, which a delta cascade may be refreshing on
-  // another thread (core/dynamic_pipeline.h).
-  const bool was_training = training();
-  if (was_training) SetTraining(false);
-  // Spill-file I/O errors are environment failures, not model state; fail
-  // loudly rather than serve from a half-resident store.
+  // No training flag is read or written: the plan encodes under
+  // autograd::InferenceMode and scores through the tape-free chain, while a
+  // delta cascade may be refreshing the module tree on another thread
+  // (core/dynamic_pipeline.h). Spill-file I/O errors are environment
+  // failures, not model state; fail loudly rather than serve from a
+  // half-resident store.
   auto probs = plan_->Score(pairs);
   AHNTP_CHECK_OK(probs.status());
-  if (was_training) SetTraining(true);
   return std::move(probs).value();
 }
 
 std::vector<float> TrustPredictor::PredictProbabilitiesWithInputDropout(
     const std::vector<data::TrustPair>& pairs, float rate, uint64_t seed) {
-  const bool was_training = training();
-  if (was_training) SetTraining(false);
   auto probs = plan_->ScoreWithInputDropout(pairs, rate, seed);
   AHNTP_CHECK_OK(probs.status());
-  if (was_training) SetTraining(true);
   return std::move(probs).value();
 }
 

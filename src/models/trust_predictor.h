@@ -48,8 +48,8 @@ class TrustPredictor : public nn::Module {
 
   /// Inference helper: probabilities for pairs. Routes through the compiled
   /// InferencePlan (tape-free, cached embeddings, workspace arena); results
-  /// are bit-identical to Forward() in eval mode at any thread count. Saves
-  /// and restores the module training flag around the call.
+  /// are bit-identical to Forward() in eval mode at any thread count,
+  /// whatever the training flag says. Reads and writes no training flag.
   std::vector<float> PredictProbabilities(
       const std::vector<data::TrustPair>& pairs);
 

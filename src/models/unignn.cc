@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "nn/infer.h"
-#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -78,24 +76,6 @@ Variable UniGcn::EncodeUsers() {
   return h;
 }
 
-tensor::Matrix UniGcn::InferUsers(tensor::Workspace* ws) {
-  using tensor::Matrix;
-  const Matrix* h = &features_.value();
-  Matrix* out = nullptr;
-  for (const auto& layer : layers_) {
-    Matrix* edge_feat = ws->Acquire(ops_.edge_mean.rows(), h->cols());
-    tensor::SpMMInto(edge_feat, ops_.edge_mean, *h);
-    Matrix& transformed = nn::InferLinear(*layer, *edge_feat, ws);
-    Matrix* vertex_feat =
-        ws->Acquire(ops_.vertex_mean.rows(), transformed.cols());
-    tensor::SpMMInto(vertex_feat, ops_.vertex_mean, transformed);
-    tensor::ReluInto(vertex_feat, *vertex_feat);
-    out = vertex_feat;
-    h = out;
-  }
-  return *out;
-}
-
 std::vector<Variable> UniGcn::Parameters() const {
   std::vector<Variable> params;
   for (const auto& layer : layers_) {
@@ -151,39 +131,6 @@ Variable UniGat::EncodeUsers() {
     }
   }
   return h;
-}
-
-tensor::Matrix UniGat::InferUsers(tensor::Workspace* ws) {
-  using tensor::Matrix;
-  const Matrix* h = &features_.value();
-  Matrix* out = nullptr;
-  const size_t p = ops_.pairs.vertex.size();
-  for (size_t i = 0; i < transforms_.size(); ++i) {
-    Matrix& hx = nn::InferLinear(*transforms_[i], *h, ws);
-    Matrix* he = ws->Acquire(ops_.edge_mean.rows(), hx.cols());
-    tensor::SpMMInto(he, ops_.edge_mean, hx);
-    Matrix* hx_pairs = ws->Acquire(p, hx.cols());
-    tensor::GatherRowsInto(hx_pairs, hx, ops_.pairs.vertex);
-    Matrix* he_pairs = ws->Acquire(p, he->cols());
-    tensor::GatherRowsInto(he_pairs, *he, ops_.pairs.edge);
-    Matrix* score = ws->Acquire(p, 1);
-    tensor::MatMulInto(score, *hx_pairs, attn_vertex_[i].value());
-    Matrix* score_edge = ws->Acquire(p, 1);
-    tensor::MatMulInto(score_edge, *he_pairs, attn_edge_[i].value());
-    tensor::AddInto(score, *score, *score_edge);
-    tensor::LeakyReluInto(score, *score, leaky_slope_);
-    Matrix* alpha = ws->Acquire(p, 1);
-    tensor::SegmentSoftmaxInto(alpha, *score, ops_.pairs.vertex,
-                               ops_.num_vertices);
-    tensor::MulColBroadcastInto(he_pairs, *he_pairs, *alpha);
-    Matrix* agg = ws->Acquire(ops_.num_vertices, he_pairs->cols());
-    tensor::SegmentSumInto(agg, *he_pairs, ops_.pairs.vertex,
-                           ops_.num_vertices);
-    tensor::ReluInto(agg, *agg);
-    out = agg;
-    h = out;
-  }
-  return *out;
 }
 
 std::vector<Variable> UniGat::Parameters() const {

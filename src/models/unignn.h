@@ -27,7 +27,6 @@ class UniGcn : public Encoder {
   explicit UniGcn(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "UniGCN"; }
   std::vector<autograd::Variable> Parameters() const override;
@@ -49,7 +48,6 @@ class UniGat : public Encoder {
   explicit UniGat(const ModelInputs& inputs);
 
   autograd::Variable EncodeUsers() override;
-  tensor::Matrix InferUsers(tensor::Workspace* ws) override;
   size_t embedding_dim() const override { return out_dim_; }
   std::string name() const override { return "UniGAT"; }
   std::vector<autograd::Variable> Parameters() const override;

@@ -51,18 +51,4 @@ Matrix& InferMlp(const Mlp& mlp, const Matrix& x, tensor::Workspace* ws) {
   return *out;
 }
 
-Matrix& InferLayerNorm(const LayerNorm& norm, const Matrix& x,
-                       tensor::Workspace* ws) {
-  AHNTP_CHECK(ws != nullptr);
-  AHNTP_CHECK_EQ(x.cols(), norm.features());
-  Matrix* out = ws->Acquire(x.rows(), x.cols());
-  tensor::RowStandardizeInto(out, x, norm.epsilon());
-  // Two separate broadcast passes, matching the tape's Mul-then-Add node
-  // pair: one fused multiply-add would round differently under FP
-  // contraction and break bit parity.
-  tensor::MulRowBroadcastInto(out, *out, norm.gain().value());
-  tensor::AddRowBroadcastInto(out, *out, norm.bias().value());
-  return *out;
-}
-
 }  // namespace ahntp::nn

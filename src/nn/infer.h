@@ -1,7 +1,6 @@
 #ifndef AHNTP_NN_INFER_H_
 #define AHNTP_NN_INFER_H_
 
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "tensor/workspace.h"
@@ -18,7 +17,10 @@ namespace ahntp::nn {
 //
 // Returned references point into `ws`; they stay valid until the
 // workspace's next Reset(). A steady-state loop that repeats the same
-// call sequence per iteration is allocation-free once warmed.
+// call sequence per iteration is allocation-free once warmed. That is what
+// the plan's scoring chain and AHNTP's row-restricted refresh need; an
+// all-user encode runs the module's Forward under autograd::InferenceMode
+// instead (models::Encoder::InferUsers).
 // ---------------------------------------------------------------------------
 
 /// y = x * W (+ bias). Returns a workspace buffer of shape
@@ -34,10 +36,6 @@ void InferActivationInPlace(tensor::Matrix* m, Activation act,
 /// tape does when training is off, so no RNG is drawn either way).
 tensor::Matrix& InferMlp(const Mlp& mlp, const tensor::Matrix& x,
                          tensor::Workspace* ws);
-
-/// y = gain ⊙ standardize(x) + bias.
-tensor::Matrix& InferLayerNorm(const LayerNorm& norm, const tensor::Matrix& x,
-                               tensor::Workspace* ws);
 
 }  // namespace ahntp::nn
 

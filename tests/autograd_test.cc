@@ -1,5 +1,8 @@
 #include "autograd/ops.h"
 
+#include <cstring>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -363,6 +366,63 @@ TEST(DropoutTest, ZeroProbabilityIsIdentity) {
   Variable x = RandParam(3, 3, &rng);
   Variable y = Dropout(x, 0.0f, &rng, /*training=*/true);
   EXPECT_TRUE(y.value().AllClose(x.value()));
+}
+
+// ---------------------------------------------------------------------------
+// InferenceMode: the thread-local scope that switches the tape off.
+// ---------------------------------------------------------------------------
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(InferenceModeTest, OpsRecordNoInputsAndNoGrad) {
+  Rng rng(30);
+  Variable x = RandParam(3, 4, &rng);
+  Variable w = RandParam(4, 2, &rng);
+  Variable taped = Relu(MatMul(x, w));
+  ASSERT_TRUE(taped.requires_grad());
+  ASSERT_FALSE(taped.node()->inputs.empty());
+  InferenceMode guard;
+  Variable y = Relu(MatMul(x, w));
+  EXPECT_FALSE(y.requires_grad());
+  EXPECT_TRUE(y.node()->inputs.empty());
+  EXPECT_FALSE(static_cast<bool>(y.node()->backward));
+  EXPECT_TRUE(BitEqual(y.value(), taped.value()));
+}
+
+TEST(InferenceModeTest, PreviousModeReturnsAfterNestingAndThrow) {
+  ASSERT_FALSE(InferenceMode::active());
+  {
+    InferenceMode outer;
+    EXPECT_TRUE(InferenceMode::active());
+    {
+      InferenceMode inner;
+      EXPECT_TRUE(InferenceMode::active());
+    }
+    EXPECT_TRUE(InferenceMode::active());
+  }
+  EXPECT_FALSE(InferenceMode::active());
+  try {
+    InferenceMode guard;
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(InferenceMode::active());
+  Variable x = Parameter(Matrix::FromRows({{2.0f}}));
+  EXPECT_TRUE(Scale(x, 3.0f).requires_grad());
+}
+
+TEST(InferenceModeTest, DropoutIsIdentityAndDrawsNothing) {
+  Rng rng(31);
+  Rng untouched(31);
+  Variable x = RandParam(8, 8, &rng);
+  untouched = rng;
+  InferenceMode guard;
+  Variable y = Dropout(x, 0.5f, &rng, /*training=*/true);
+  EXPECT_TRUE(BitEqual(y.value(), x.value()));
+  EXPECT_EQ(rng.NextU64(), untouched.NextU64());
 }
 
 // Composite: a 2-layer MLP-like graph, all gradients checked at once.

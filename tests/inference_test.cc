@@ -6,12 +6,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,7 +28,6 @@
 #include "models/inference_plan.h"
 #include "models/trust_predictor.h"
 #include "nn/infer.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/serialization.h"
@@ -163,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(ModelZoo, CompiledParityTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Layer-level parity: InferLinear / InferMlp / InferLayerNorm.
+// Layer-level parity: InferLinear / InferMlp.
 // ---------------------------------------------------------------------------
 
 tensor::Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -197,28 +198,6 @@ TEST(InferLayersTest, MlpMatchesEvalTapeBitwise) {
   tensor::Matrix tape = mlp.Forward(autograd::Constant(x)).value();
   tensor::Workspace ws;
   tensor::Matrix& compiled = nn::InferMlp(mlp, x, &ws);
-  ASSERT_EQ(compiled.rows(), tape.rows());
-  ASSERT_EQ(compiled.cols(), tape.cols());
-  for (size_t i = 0; i < tape.size(); ++i) {
-    EXPECT_EQ(compiled.data()[i], tape.data()[i]) << "entry " << i;
-  }
-}
-
-TEST(InferLayersTest, LayerNormMatchesTapeBitwise) {
-  Rng rng(3);
-  nn::LayerNorm norm(5);
-  // Perturb gain/bias away from the identity so the test is non-trivial.
-  // Variable handles share their node, so mutating the copies edits norm.
-  autograd::Variable gain = norm.gain();
-  autograd::Variable bias = norm.bias();
-  for (size_t i = 0; i < 5; ++i) {
-    gain.mutable_value().At(0, i) = rng.Uniform(0.5f, 1.5f);
-    bias.mutable_value().At(0, i) = rng.Uniform(-0.5f, 0.5f);
-  }
-  tensor::Matrix x = RandomMatrix(8, 5, &rng);
-  tensor::Matrix tape = norm.Forward(autograd::Constant(x)).value();
-  tensor::Workspace ws;
-  tensor::Matrix& compiled = nn::InferLayerNorm(norm, x, &ws);
   ASSERT_EQ(compiled.rows(), tape.rows());
   ASSERT_EQ(compiled.cols(), tape.cols());
   for (size_t i = 0; i < tape.size(); ++i) {
@@ -522,6 +501,63 @@ TEST(PredictProbabilitiesTest, SavesAndRestoresTrainingFlagRecursively) {
   predictor->SetTraining(false);
   (void)predictor->PredictProbabilities(pairs);
   ExpectTrainingRecursively(predictor.get(), false);
+}
+
+/// Parameter gradients of one training step (mean probability as the loss)
+/// on a fresh predictor.
+std::vector<tensor::Matrix> TrainingStepGradients(
+    TrustPredictor* predictor, const std::vector<data::TrustPair>& pairs) {
+  predictor->SetTraining(true);
+  autograd::ReduceMean(predictor->Forward(pairs).probability).Backward();
+  std::vector<tensor::Matrix> grads;
+  for (const autograd::Variable& p : predictor->Parameters()) {
+    grads.push_back(p.grad());
+  }
+  return grads;
+}
+
+TEST(InferenceModeThreadTest, PlanBuildBesideTrainingLeavesGradientsExact) {
+  std::vector<data::TrustPair> pairs = Fixture().Queries(16);
+  // Each predictor owns an Rng seeded alike, so the two training steps
+  // draw the same dropout masks.
+  Rng serial_rng(9), concurrent_rng(9), server_rng(10);
+  auto make = [](Rng* rng) {
+    models::ModelInputs inputs = Fixture().inputs();
+    inputs.rng = rng;
+    return core::CreatePredictor("AHNTP", inputs, core::AhntpConfig{})
+        .value();
+  };
+  auto serial = make(&serial_rng);
+  auto concurrent = make(&concurrent_rng);
+  auto server = make(&server_rng);
+  const std::vector<tensor::Matrix> expected =
+      TrainingStepGradients(serial.get(), pairs);
+
+  // The serving thread spends nearly all its time inside InferUsers'
+  // InferenceMode scope while this thread runs the training step.
+  std::atomic<bool> done{false};
+  std::atomic<int> builds{0};
+  std::thread serving([&] {
+    while (!done.load()) {
+      server->InvalidateCaches();
+      server->WarmInferencePlan();
+      builds.fetch_add(1);
+    }
+  });
+  while (builds.load() == 0) std::this_thread::yield();
+  const std::vector<tensor::Matrix> observed =
+      TrainingStepGradients(concurrent.get(), pairs);
+  done.store(true);
+  serving.join();
+
+  ASSERT_EQ(observed.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(observed[i].size(), expected[i].size()) << "parameter " << i;
+    for (size_t k = 0; k < expected[i].size(); ++k) {
+      ASSERT_EQ(observed[i].data()[k], expected[i].data()[k])
+          << "parameter " << i << " entry " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

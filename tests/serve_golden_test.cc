@@ -24,11 +24,9 @@
 // (or set AHNTP_UPDATE_GOLDEN=1). The refreshed files are written back into
 // the source tree via AHNTP_SOURCE_DIR.
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -36,7 +34,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cpu.h"
 #include "common/fileio.h"
 #include "common/strings.h"
 #include "test_util.h"
@@ -49,15 +46,6 @@ std::string GoldenPath(const std::string& isa) {
          isa + ".golden";
 }
 
-/// Names of the kernel ISAs this host can run; scalar always.
-std::vector<std::string> SupportedIsas() {
-  std::vector<std::string> isas;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
-    if (KernelIsaSupported(isa)) isas.push_back(KernelIsaName(isa));
-  }
-  return isas;
-}
-
 struct DemoRun {
   int exit_code = -1;
   std::string stdout_text;
@@ -67,18 +55,11 @@ struct DemoRun {
 /// Runs serve_demo with `args`, capturing stdout and stderr.
 DemoRun RunServeDemo(const std::string& args, const std::string& dir) {
   const std::string stderr_path = dir + "/stderr.txt";
-  const std::string command = std::string("'") + AHNTP_SERVE_DEMO + "' " +
-                              args + " 2>'" + stderr_path + "'";
   DemoRun run;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return run;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    run.stdout_text.append(buffer, n);
-  }
-  const int status = pclose(pipe);
-  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.exit_code = testing::RunCapturingStdout(
+      std::string("'") + AHNTP_SERVE_DEMO + "' " + args + " 2>'" +
+          stderr_path + "'",
+      &run.stdout_text);
   (void)ReadFileToString(stderr_path, &run.stderr_text);
   return run;
 }
@@ -230,7 +211,8 @@ TEST_P(ServeGoldenTest, DigestsMatchGoldenAtThreads1_2_8) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Isas, ServeGoldenTest, ::testing::ValuesIn(SupportedIsas()),
+    Isas, ServeGoldenTest,
+    ::testing::ValuesIn(testing::SupportedKernelIsas()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

@@ -1,8 +1,11 @@
 #ifndef AHNTP_TESTS_TEST_UTIL_H_
 #define AHNTP_TESTS_TEST_UTIL_H_
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/variable.h"
+#include "common/cpu.h"
 #include "common/fileio.h"
 #include "common/strings.h"
 
@@ -53,6 +57,29 @@ inline void ExpectGradientsClose(
           << "param " << k << " entry " << i;
     }
   }
+}
+
+/// Names of the kernel ISAs this host can run; scalar always.
+inline std::vector<std::string> SupportedKernelIsas() {
+  std::vector<std::string> isas;
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+    if (KernelIsaSupported(isa)) isas.push_back(KernelIsaName(isa));
+  }
+  return isas;
+}
+
+/// Runs `command` through the shell, appending its stdout to `*out`.
+/// Returns the exit code, or -1 when it could not start or did not exit.
+inline int RunCapturingStdout(const std::string& command, std::string* out) {
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    out->append(buffer, n);
+  }
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /// Whether a golden test rewrites its golden files instead of comparing.
