@@ -13,13 +13,16 @@
 # it is the gate for tape-node lifetimes: under autograd::InferenceMode an
 # op drops its inputs and each intermediate dies with its last handle, so
 # autograd_test, inference_test and models_test run every encoder's forward
-# in both modes under ASan.
+# in both modes under ASan. Backward frees the tape as it walks it, and
+# inside Trainer::Fit's tensor::RecycleScope freed buffers are cached
+# poisoned, so a read of a released grad or value reports here:
+# kernel_golden_test and core_test run the training path.
 set -eu
 cd "$(dirname "$0")/.."
 
 tests=(fault_test fuzz_test nn_test data_test core_test common_test
-       kernel_parity_test matrix_test autograd_test inference_test
-       models_test "$@")
+       kernel_parity_test kernel_golden_test matrix_test autograd_test
+       inference_test models_test "$@")
 
 build_dir="build-addresssan"
 cmake -B "$build_dir" -S . -DAHNTP_SANITIZE=address \

@@ -41,27 +41,28 @@ void Variable::ZeroGrad() {
 namespace {
 
 /// Iterative post-order DFS producing a topological order (inputs before
-/// consumers).
+/// consumers). The order holds a reference to every node, so the walk owns
+/// each one until it has processed it.
 void TopologicalOrder(const std::shared_ptr<Node>& root,
-                      std::vector<Node*>* order) {
+                      std::vector<std::shared_ptr<Node>>* order) {
   std::unordered_set<Node*> visited;
   struct Frame {
-    Node* node;
+    const std::shared_ptr<Node>* node;
     size_t next_input;
   };
   std::vector<Frame> stack;
-  if (visited.insert(root.get()).second) {
-    stack.push_back({root.get(), 0});
-  }
+  visited.insert(root.get());
+  stack.push_back({&root, 0});
   while (!stack.empty()) {
     Frame& top = stack.back();
-    if (top.next_input < top.node->inputs.size()) {
-      Node* child = top.node->inputs[top.next_input++].get();
-      if (visited.insert(child).second) {
-        stack.push_back({child, 0});
+    Node& node = **top.node;
+    if (top.next_input < node.inputs.size()) {
+      const std::shared_ptr<Node>& child = node.inputs[top.next_input++];
+      if (visited.insert(child.get()).second) {
+        stack.push_back({&child, 0});
       }
     } else {
-      order->push_back(top.node);
+      order->push_back(*top.node);
       stack.pop_back();
     }
   }
@@ -77,14 +78,24 @@ void Variable::Backward() const {
 }
 
 void Variable::Backward(const tensor::Matrix& seed) const {
-  std::vector<Node*> order;
+  std::vector<std::shared_ptr<Node>> order;
   TopologicalOrder(node_, &order);
   node_->AccumulateGrad(seed);
+  // Reverse topological order: every consumer of a node runs before it, so
+  // once a node's closure has run nothing reads its grad, inputs or
+  // closure again. Dropping them (and the walk's reference) frees each
+  // intermediate whose last handle was the tape, as the walk goes.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Node* node = *it;
+    std::shared_ptr<Node> node = std::move(*it);
     if (node->backward && node->grad_allocated) {
       node->backward(*node);
     }
+    if (!node->inputs.empty()) {
+      node->grad = tensor::Matrix();
+      node->grad_allocated = false;
+    }
+    node->backward = nullptr;
+    node->inputs.clear();
   }
 }
 

@@ -11,7 +11,8 @@ namespace ahntp::autograd {
 
 /// Internal tape node: holds the forward value, the (lazily allocated)
 /// gradient, edges to the input nodes, and the closure that pushes this
-/// node's gradient into its inputs.
+/// node's gradient into its inputs. Backward() clears the edges, the
+/// closure and an interior node's gradient once the node is processed.
 struct Node {
   tensor::Matrix value;
   tensor::Matrix grad;
@@ -63,9 +64,18 @@ class Variable {
 
   /// Reverse-mode backprop from this node. Precondition: 1x1 value.
   /// Seeds with d(out)/d(out) = 1.
+  ///
+  /// Consumes the graph, as PyTorch's default `retain_graph=False` does:
+  /// after a node's closure has run, the node drops its closure, its
+  /// inputs and, unless it is a leaf, its grad, so every intermediate that
+  /// no outside handle holds is freed during the walk. Leaf grads (the
+  /// parameters') are kept, and so are the values of nodes that outside
+  /// handles hold (the loss, say). A second Backward on the same graph
+  /// therefore reaches nothing but its root.
   void Backward() const;
 
   /// Backprop with an explicit seed gradient of this node's shape.
+  /// Consumes the graph like Backward().
   void Backward(const tensor::Matrix& seed) const;
 
   const std::shared_ptr<Node>& node() const { return node_; }

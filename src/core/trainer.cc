@@ -16,6 +16,7 @@
 #include "hypergraph/regularizer.h"
 #include "nn/losses.h"
 #include "nn/optimizer.h"
+#include "tensor/recycle.h"
 
 namespace ahntp::core {
 
@@ -147,6 +148,10 @@ Result<TrainResult> Trainer::Fit(
   }
   trace::TraceSpan fit_span("trainer.fit");
   Stopwatch timer;
+  // Every full-batch epoch rebuilds a tape of the same shapes, and
+  // Backward frees it as it walks: recycle those buffers instead of
+  // faulting in fresh pages each epoch. The cache dies with Fit.
+  tensor::RecycleScope recycle;
   const bool early_stopping =
       config_.patience > 0 && !validation_pairs.empty();
   std::vector<Variable> params = model->Parameters();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "common/check.h"
@@ -11,14 +12,33 @@ namespace ahntp::data {
 
 namespace {
 
+/// Each source's 3-hop undirected ball in one graph, computed on first
+/// use. Hard-negative sampling draws the same sources many times (about
+/// ten attempts per user on a Ciao-like split), and the BFS dominates it.
+class BallMemo {
+ public:
+  explicit BallMemo(const graph::Digraph& graph)
+      : graph_(graph), balls_(graph.num_nodes()) {}
+
+  const std::vector<int>& Ball(int src) {
+    std::optional<std::vector<int>>& ball = balls_[static_cast<size_t>(src)];
+    if (!ball) ball = graph_.NeighborhoodBall(src, 3);
+    return *ball;
+  }
+
+ private:
+  const graph::Digraph& graph_;
+  std::vector<std::optional<std::vector<int>>> balls_;
+};
+
 /// Samples `count` ordered pairs absent from `forbidden` (and non-self).
 /// A `hard_fraction` of them are drawn from within 3 undirected hops of
-/// their source in `graph` (falling back to uniform when a source has no
-/// eligible nearby target).
+/// their source in the memo's graph (falling back to uniform when a source
+/// has no eligible nearby target).
 std::vector<TrustPair> SampleNegatives(
     size_t num_users, size_t count,
-    const std::set<std::pair<int, int>>& forbidden,
-    const graph::Digraph& graph, double hard_fraction, Rng* rng) {
+    const std::set<std::pair<int, int>>& forbidden, BallMemo* balls,
+    double hard_fraction, Rng* rng) {
   AHNTP_CHECK_GE(num_users, 2u);
   std::vector<TrustPair> negatives;
   negatives.reserve(count);
@@ -32,7 +52,7 @@ std::vector<TrustPair> SampleNegatives(
     int src = static_cast<int>(rng->NextBounded(num_users));
     int dst = -1;
     if (negatives.size() < hard_target) {
-      std::vector<int> ball = graph.NeighborhoodBall(src, 3);
+      const std::vector<int>& ball = balls->Ball(src);
       if (!ball.empty()) {
         dst = ball[static_cast<size_t>(rng->NextBounded(ball.size()))];
       }
@@ -82,6 +102,8 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
   // Hard negatives are sampled from the *full* trust graph's neighbourhood
   // structure so train and test use the same notion of "nearby non-edge".
   graph::Digraph full_graph = dataset.TrustGraph().value();
+  // Shared by the train and test samplers; freed when the split returns.
+  BallMemo balls(full_graph);
 
   for (const graph::Edge& e : split.train_positive) {
     split.train_pairs.push_back({e.src, e.dst, 1.0f});
@@ -90,7 +112,7 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
       dataset.num_users,
       split.train_positive.size() *
           static_cast<size_t>(options.train_negatives_per_positive),
-      all_edges, full_graph, options.hard_negative_fraction, &rng);
+      all_edges, &balls, options.hard_negative_fraction, &rng);
   split.train_pairs.insert(split.train_pairs.end(), train_neg.begin(),
                            train_neg.end());
   rng.Shuffle(&split.train_pairs);
@@ -102,7 +124,7 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
       dataset.num_users,
       split.test_positive.size() *
           static_cast<size_t>(options.test_negatives_per_positive),
-      all_edges, full_graph, options.hard_negative_fraction, &rng);
+      all_edges, &balls, options.hard_negative_fraction, &rng);
   split.test_pairs.insert(split.test_pairs.end(), test_neg.begin(),
                           test_neg.end());
   rng.Shuffle(&split.test_pairs);

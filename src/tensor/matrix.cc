@@ -1,5 +1,6 @@
 #include "tensor/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -33,8 +34,8 @@ constexpr size_t kMatMulTNGrain = 64;
 
 }  // namespace
 
-Matrix::Matrix(size_t rows, size_t cols, std::vector<float> data)
-    : rows_(rows), cols_(cols), data_(std::move(data)) {
+Matrix::Matrix(size_t rows, size_t cols, const std::vector<float>& data)
+    : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
   AHNTP_CHECK_EQ(rows_ * cols_, data_.size());
 }
 
@@ -408,7 +409,9 @@ Matrix ColSums(const Matrix& a) {
   Matrix out(1, a.cols());
   // Parallel over column bands: each band's accumulators are private to its
   // chunk and every column still sums rows in ascending order.
-  ParallelFor(0, a.cols(), GrainForCost(a.rows()),
+  // Bands are at least one cache line (16 floats) wide: a band per column
+  // would stream the whole matrix once per column.
+  ParallelFor(0, a.cols(), std::max<size_t>(16, GrainForCost(a.rows())),
               [&](size_t c0, size_t c1) {
                 for (size_t r = 0; r < a.rows(); ++r) {
                   const float* row = a.RowPtr(r);

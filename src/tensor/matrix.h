@@ -7,12 +7,14 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "tensor/recycle.h"
 
 namespace ahntp::tensor {
 
 /// Dense row-major float32 matrix. The single dense container used by the
 /// autograd engine, the neural-network layers, and the models. A row vector
-/// is a 1xN matrix; a column vector is Nx1.
+/// is a 1xN matrix; a column vector is Nx1. Storage goes through
+/// RecyclingAllocator, so large buffers are reused under a RecycleScope.
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -26,8 +28,8 @@ class Matrix {
   Matrix(size_t rows, size_t cols, float value)
       : rows_(rows), cols_(cols), data_(rows * cols, value) {}
 
-  /// Takes ownership of `data` (size must be rows*cols).
-  Matrix(size_t rows, size_t cols, std::vector<float> data);
+  /// Copies `data` (size must be rows*cols).
+  Matrix(size_t rows, size_t cols, const std::vector<float>& data);
 
   /// Builds from nested initializer-style data; all rows must be equal width.
   static Matrix FromRows(const std::vector<std::vector<float>>& rows);
@@ -106,7 +108,7 @@ class Matrix {
  private:
   size_t rows_;
   size_t cols_;
-  std::vector<float> data_;
+  std::vector<float, RecyclingAllocator<float>> data_;
 };
 
 /// out = a + b (shape-checked).

@@ -1,6 +1,7 @@
 #include "autograd/ops.h"
 
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -68,6 +69,41 @@ TEST(VariableTest, ConstantReceivesNoBackwardWork) {
   loss.Backward();
   EXPECT_NEAR(x.grad().At(0, 0), 5.0f, 1e-5f);
   EXPECT_FALSE(c.requires_grad());
+}
+
+TEST(VariableTest, BackwardConsumesTheGraph) {
+  Variable x = Parameter(Matrix::FromRows({{1.0f, -2.0f}, {3.0f, 4.0f}}));
+  Variable w = Parameter(Matrix::FromRows({{0.5f}, {-1.0f}}));
+  std::weak_ptr<Node> tape_only;
+  Variable h;
+  {
+    Variable m = MatMul(x, w);  // [[2.5], [-2.5]]
+    tape_only = m.node();
+    h = Relu(m);  // [[2.5], [0]], still held by a handle below
+  }
+  Variable loss = ReduceSum(h);
+  ASSERT_FALSE(tape_only.expired());
+  loss.Backward();
+
+  // The interior node only the tape held is gone with its value.
+  EXPECT_TRUE(tape_only.expired());
+  // Handle-held interior nodes keep their values but nothing else.
+  for (const Variable* v : {&h, &loss}) {
+    EXPECT_TRUE(v->node()->inputs.empty());
+    EXPECT_FALSE(v->node()->backward);
+    EXPECT_FALSE(v->node()->grad_allocated);
+    EXPECT_TRUE(v->node()->grad.empty());
+  }
+  EXPECT_EQ(h.value().At(0, 0), 2.5f);
+  EXPECT_EQ(h.value().At(1, 0), 0.0f);
+  EXPECT_EQ(loss.value().At(0, 0), 2.5f);
+  // Leaf grads are intact: dL/dw = x^T [1, 0]^T, dL/dx = [1, 0]^T w^T.
+  EXPECT_EQ(w.grad().At(0, 0), 1.0f);
+  EXPECT_EQ(w.grad().At(1, 0), -2.0f);
+  EXPECT_EQ(x.grad().At(0, 0), 0.5f);
+  EXPECT_EQ(x.grad().At(0, 1), -1.0f);
+  EXPECT_EQ(x.grad().At(1, 0), 0.0f);
+  EXPECT_EQ(x.grad().At(1, 1), 0.0f);
 }
 
 // ---------------------------------------------------------------------------

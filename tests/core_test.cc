@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/adaptive_conv.h"
 #include "core/experiment.h"
 #include "core/repeated.h"
@@ -446,6 +447,42 @@ TEST(TrainerTest, LossDecreases) {
   ASSERT_EQ(result.history.size(), 15u);
   EXPECT_LT(result.history.back().loss, result.history.front().loss);
   EXPECT_GT(result.train_seconds, 0.0);
+}
+
+TEST(TrainerTest, WarmFullBatchEpochsNeverMissTheBufferCache) {
+  // Each Fit opens and closes its own RecycleScope, so fits of 1 and 3
+  // epochs from the same start miss the cache equally exactly when epochs
+  // 2 and 3 take every large buffer from memory epoch 1 released.
+  auto misses_after = [](int epochs) {
+    CoreFixture& fixture = Fixture();
+    Rng rng(24);
+    // Its own Rng for the encoder too, so both fits start from the same
+    // weights and the fixture's stream stays where later tests expect it.
+    Rng init_rng(25);
+    models::ModelInputs inputs = fixture.inputs();
+    inputs.rng = &init_rng;
+    auto spec = CreateEncoder("AHNTP", inputs, AhntpConfig{});
+    EXPECT_TRUE(spec.ok());
+    models::TrustPredictor predictor(spec->encoder,
+                                     models::TrustPredictorConfig{}, &rng);
+    TrainerConfig config;
+    config.epochs = epochs;
+    config.batch_size = 0;
+    Trainer trainer(config);
+    metrics::Enable();
+    metrics::Reset();
+    EXPECT_TRUE(trainer.Fit(&predictor, fixture.split().train_pairs).ok());
+    const int64_t misses =
+        metrics::GetCounter("tensor.recycle.misses").Value();
+    const int64_t hits = metrics::GetCounter("tensor.recycle.hits").Value();
+    metrics::Disable();
+    return std::make_pair(misses, hits);
+  };
+  const auto [one_epoch_misses, one_epoch_hits] = misses_after(1);
+  const auto [misses, hits] = misses_after(3);
+  ASSERT_GT(one_epoch_misses, 0) << "no buffer reached the cache threshold";
+  EXPECT_EQ(misses, one_epoch_misses);
+  EXPECT_GT(hits, one_epoch_hits);
 }
 
 TEST(TrainerTest, ContrastiveTermReportedOnlyWhenEnabled) {

@@ -77,11 +77,13 @@ class InferenceFixture {
 
   models::ModelInputs inputs() { return inputs_; }
 
+  /// The predictor keeps `inputs.rng` for dropout, so the fixture owns
+  /// each predictor's Rng at a stable address for the life of the process.
   std::unique_ptr<TrustPredictor> MakePredictor(const std::string& name,
                                                 uint64_t seed) {
-    Rng rng(seed);
+    predictor_rngs_.push_back(std::make_unique<Rng>(seed));
     models::ModelInputs inputs = inputs_;
-    inputs.rng = &rng;
+    inputs.rng = predictor_rngs_.back().get();
     auto created = core::CreatePredictor(name, inputs, core::AhntpConfig{});
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     return std::move(created).value();
@@ -105,6 +107,7 @@ class InferenceFixture {
   tensor::Matrix features_;
   hypergraph::Hypergraph hypergraph_{0};
   models::ModelInputs inputs_;
+  std::vector<std::unique_ptr<Rng>> predictor_rngs_;
 };
 
 InferenceFixture& Fixture() {

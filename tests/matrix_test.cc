@@ -1,8 +1,14 @@
 #include "tensor/matrix.h"
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
+
+#include "common/metrics.h"
+#include "common/parallel.h"
+#include "tensor/recycle.h"
 
 namespace ahntp::tensor {
 namespace {
@@ -145,6 +151,28 @@ TEST(ReductionTest, RowAndColSums) {
   EXPECT_TRUE(ColSums(a).AllClose(Matrix::FromRows({{4, 6}})));
 }
 
+TEST(ReductionTest, ColSumsOfTallMatricesAreBitwiseThreadInvariant) {
+  // Tall enough that the per-column cost alone would give one-column
+  // bands; 40 columns leave a ragged last band.
+  Rng rng(5);
+  Matrix a = Matrix::Randn(5000, 40, &rng);
+  Matrix expected(1, a.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < a.cols(); ++c) expected.At(0, c) += a.At(r, c);
+  }
+  const int saved = NumThreads();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    Matrix sums = ColSums(a);
+    ASSERT_EQ(sums.cols(), a.cols());
+    EXPECT_EQ(std::memcmp(sums.data(), expected.data(),
+                          a.cols() * sizeof(float)),
+              0)
+        << "threads=" << threads;
+  }
+  SetNumThreads(saved);
+}
+
 TEST(ReductionTest, RowNorms) {
   Matrix a = Matrix::FromRows({{3, 4}, {0, 0}});
   Matrix norms = RowNorms(a);
@@ -192,6 +220,86 @@ TEST(MatrixDeathTest, MatMulIntoRejectsAliasedOutputInEveryForm) {
                    "cannot alias an input");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// RecycleScope: the training-scoped buffer cache behind Matrix storage.
+// ---------------------------------------------------------------------------
+
+/// 256 x 64 floats is exactly kRecycleMinBytes.
+constexpr size_t kBigRows = 256;
+constexpr size_t kBigCols = 64;
+static_assert(kBigRows * kBigCols * sizeof(float) == kRecycleMinBytes);
+
+class RecycleScopeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    metrics::Enable();
+    metrics::Reset();
+  }
+  void TearDown() override { metrics::Disable(); }
+
+  static int64_t Hits() {
+    return metrics::GetCounter("tensor.recycle.hits").Value();
+  }
+  static int64_t Misses() {
+    return metrics::GetCounter("tensor.recycle.misses").Value();
+  }
+};
+
+TEST_F(RecycleScopeTest, ReusesLargeBuffersOnlyInsideAScope) {
+  { Matrix outside(kBigRows, kBigCols); }
+  EXPECT_FALSE(RecycleScope::active());
+  EXPECT_EQ(Misses(), 0);
+  {
+    RecycleScope scope;
+    EXPECT_TRUE(RecycleScope::active());
+    const float* first = nullptr;
+    {
+      Matrix m(kBigRows, kBigCols, 3.0f);
+      first = m.data();
+    }
+    EXPECT_EQ(Misses(), 1);
+    Matrix again(kBigRows, kBigCols);
+    EXPECT_EQ(again.data(), first);
+    EXPECT_EQ(Hits(), 1);
+    // A recycled buffer is initialised like a fresh one.
+    EXPECT_EQ(again.Sum(), 0.0f);
+    // Another size never takes it, and small buffers are not counted.
+    Matrix other(kBigRows + 1, kBigCols);
+    Matrix small(kBigRows - 1, kBigCols);
+    EXPECT_EQ(Misses(), 2);
+    EXPECT_EQ(Hits(), 1);
+    {
+      RecycleScope nested;  // nesting keeps the cache
+    }
+    { Matrix dies(std::move(other)); }
+    Matrix reused(kBigRows + 1, kBigCols);
+    EXPECT_EQ(Hits(), 2);
+  }
+  EXPECT_FALSE(RecycleScope::active());
+  { Matrix after(kBigRows, kBigCols); }
+  EXPECT_EQ(Misses(), 2);
+  EXPECT_EQ(Hits(), 2);
+}
+
+TEST_F(RecycleScopeTest, BufferFreedOutsideAnyScopeIsNeverCached) {
+  RecycleScope scope;
+  Matrix m(kBigRows, kBigCols);
+  EXPECT_EQ(Misses(), 1);
+  // Freed on a thread with no open scope: back to the heap, not cached.
+  std::thread other([&m] {
+    EXPECT_FALSE(RecycleScope::active());
+    Matrix dies(std::move(m));
+  });
+  other.join();
+  Matrix next(kBigRows, kBigCols);
+  EXPECT_EQ(Misses(), 2);
+  EXPECT_EQ(Hits(), 0);
+  // The scope's own thread still recycles.
+  { Matrix dies(std::move(next)); }
+  Matrix reused(kBigRows, kBigCols);
+  EXPECT_EQ(Hits(), 1);
 }
 
 }  // namespace
