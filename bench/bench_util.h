@@ -14,7 +14,7 @@
 
 namespace ahntp::bench {
 
-/// Options shared by all table/figure reproduction binaries.
+/// Options shared by the bench binaries.
 ///
 /// Defaults are sized so the *whole* bench suite completes on one CPU core
 /// in tens of minutes: datasets are generated at `scale` of the Table III
@@ -63,30 +63,6 @@ struct BenchOptions {
   }
 };
 
-struct NamedDataset {
-  std::string name;
-  data::SocialDataset dataset;
-};
-
-/// Generates the benchmark datasets (Ciao first, matching the paper's table
-/// ordering).
-inline std::vector<NamedDataset> BuildDatasets(const BenchOptions& options) {
-  std::vector<NamedDataset> out;
-  if (options.include_ciao) {
-    out.push_back({"Ciao", data::SocialNetworkGenerator(
-                               data::GeneratorConfig::CiaoLike(options.scale))
-                               .Generate()});
-  }
-  if (options.include_epinions) {
-    out.push_back(
-        {"Epinions",
-         data::SocialNetworkGenerator(
-             data::GeneratorConfig::EpinionsLike(options.scale))
-             .Generate()});
-  }
-  return out;
-}
-
 /// Baseline experiment config from bench options.
 inline core::ExperimentConfig BaseExperimentConfig(
     const BenchOptions& options) {
@@ -105,35 +81,6 @@ inline core::ExperimentResult MustRun(const data::SocialDataset& dataset,
   AHNTP_CHECK(result.ok()) << config.model << ": "
                            << result.status().ToString();
   return std::move(result).value();
-}
-
-/// Runs `num_seeds` experiments with model seeds base, base+1, ... and
-/// returns the result with seed-averaged test metrics.
-inline core::ExperimentResult MustRunAveraged(
-    const data::SocialDataset& dataset, core::ExperimentConfig config,
-    const BenchOptions& options) {
-  core::ExperimentResult aggregate;
-  double acc = 0.0, f1 = 0.0, auc = 0.0, precision = 0.0, recall = 0.0;
-  double seconds = 0.0;
-  int runs = std::max(options.num_seeds, 1);
-  for (int s = 0; s < runs; ++s) {
-    config.model_seed = options.seed + static_cast<uint64_t>(s);
-    core::ExperimentResult result = MustRun(dataset, config);
-    acc += result.test.accuracy;
-    f1 += result.test.f1;
-    auc += result.test.auc;
-    precision += result.test.precision;
-    recall += result.test.recall;
-    seconds += result.train_seconds;
-    aggregate = result;
-  }
-  aggregate.test.accuracy = acc / runs;
-  aggregate.test.f1 = f1 / runs;
-  aggregate.test.auc = auc / runs;
-  aggregate.test.precision = precision / runs;
-  aggregate.test.recall = recall / runs;
-  aggregate.train_seconds = seconds;
-  return aggregate;
 }
 
 /// Prints the standard bench banner plus a machine-readable meta line

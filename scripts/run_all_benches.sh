@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Runs every table/figure reproduction binary and the micro-benchmarks,
-# teeing the combined output. Usage:
+# Runs every bench binary, teeing the combined output: bench_paper (every
+# paper table and figure, writing BENCH_paper.json), the serving, inference,
+# scale, robustness and dynamic harnesses, and the micro-benchmarks. Usage:
 #   scripts/run_all_benches.sh [output-file] [-- extra flags for the
-#   table/figure binaries, e.g. --scale=0.125 --seeds=3 --threads=8]
+#   non-micro binaries, e.g. --scale=0.125 --seeds=3 --threads=8]
 #
 # Thread plumbing: AHNTP_THREADS (default: all cores) configures the
-# execution substrate for every binary; table/figure binaries additionally
+# execution substrate for every binary; the non-micro binaries additionally
 # accept --threads=N, and each records the resolved count in its
 # BENCH_META JSON line. google-benchmark binaries emit JSON per run via
 # --benchmark_out, with the thread count embedded in the file name.

@@ -307,36 +307,6 @@ Variable PowScalar(const Variable& a, float exponent, float epsilon) {
   });
 }
 
-Variable RowStandardize(const Variable& a, float epsilon) {
-  auto an = a.node();
-  Matrix out;
-  std::vector<float> inv_std;
-  tensor::RowStandardizeInto(&out, a.value(), epsilon, &inv_std);
-  return MakeOp(std::move(out), {an}, [an, inv_std](Node& self) {
-    // dX = inv_std * (dY - mean(dY) - y * mean(dY ⊙ y)), per row.
-    const size_t rows2 = self.value.rows();
-    const size_t cols2 = self.value.cols();
-    Matrix g(rows2, cols2);
-    for (size_t r = 0; r < rows2; ++r) {
-      const float* yrow = self.value.RowPtr(r);
-      const float* grow = self.grad.RowPtr(r);
-      double mean_g = 0.0, mean_gy = 0.0;
-      for (size_t c = 0; c < cols2; ++c) {
-        mean_g += grow[c];
-        mean_gy += static_cast<double>(grow[c]) * yrow[c];
-      }
-      mean_g /= static_cast<double>(cols2);
-      mean_gy /= static_cast<double>(cols2);
-      float* dst = g.RowPtr(r);
-      for (size_t c = 0; c < cols2; ++c) {
-        dst[c] = inv_std[r] *
-                 static_cast<float>(grow[c] - mean_g - yrow[c] * mean_gy);
-      }
-    }
-    an->AccumulateGrad(g);
-  });
-}
-
 Variable ConcatCols(const std::vector<Variable>& parts) {
   AHNTP_CHECK(!parts.empty());
   std::vector<const Matrix*> values;

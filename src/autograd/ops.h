@@ -74,10 +74,6 @@ Variable Abs(const Variable& a);
 /// epsilon) — fractional exponents on negatives are undefined.
 Variable PowScalar(const Variable& a, float exponent, float epsilon = 1e-12f);
 
-/// Normalizes each row to zero mean / unit variance (LayerNorm core; the
-/// affine gain/bias live in nn::LayerNorm).
-Variable RowStandardize(const Variable& a, float epsilon = 1e-5f);
-
 // ---------------------------------------------------------------------------
 // Shape / selection
 // ---------------------------------------------------------------------------

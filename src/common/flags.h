@@ -32,7 +32,7 @@ class FlagParser {
   std::vector<int64_t> GetIntList(
       const std::string& name, const std::vector<int64_t>& default_value) const;
 
-  /// Comma-separated list of doubles, e.g. --alphas=0.4,0.5.
+  /// Comma-separated list of doubles, e.g. --sweep_quantiles=0.1,0.5.
   std::vector<double> GetDoubleList(
       const std::string& name, const std::vector<double>& default_value) const;
 

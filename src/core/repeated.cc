@@ -276,12 +276,12 @@ Result<RepeatedResult> RunRepeatedExperiment(const data::SocialDataset& dataset,
       if (first_error.ok()) first_error = runs[run].status();
       continue;
     }
-    ExperimentResult result = runs[run].value();
+    const ExperimentResult& result = runs[run].value();
     accs.push_back(result.test.accuracy);
     f1s.push_back(result.test.f1);
     aucs.push_back(result.test.auc);
     aggregate.total_train_seconds += result.train_seconds;
-    aggregate.last = std::move(result);
+    aggregate.runs.push_back(result);
     ++aggregate.num_runs;
   }
   if (metrics::Enabled() && fault::Enabled()) {

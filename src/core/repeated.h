@@ -2,6 +2,7 @@
 #define AHNTP_CORE_REPEATED_H_
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.h"
 
@@ -39,9 +40,9 @@ struct RepeatedResult {
   MetricSummary f1;
   MetricSummary auc;
   double total_train_seconds = 0.0;
-  /// The last successful run's full result (thresholds, parameter
-  /// counts, ...).
-  ExperimentResult last;
+  /// Every successful run's full result (per-run metrics, threshold,
+  /// best epoch, ...), in run order.
+  std::vector<ExperimentResult> runs;
   /// Degraded runs: a run that returned a non-OK Status or threw is
   /// reported here ("run 2: Internal: ...") while the sweep completes; it
   /// never enters the aggregates.

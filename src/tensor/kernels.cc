@@ -159,49 +159,6 @@ void MulRowBroadcastInto(Matrix* out, const Matrix& a, const Matrix& row) {
   });
 }
 
-void RowStandardizeInto(Matrix* out, const Matrix& a, float epsilon,
-                        std::vector<float>* inv_std) {
-  AHNTP_CHECK(out != &a) << "RowStandardizeInto cannot alias its input";
-  const size_t rows = a.rows();
-  const size_t cols = a.cols();
-  AHNTP_CHECK_GT(cols, 0u);
-  out->ResetShape(rows, cols);
-  if (inv_std != nullptr) inv_std->resize(rows);
-  // Rows are independent, so row-parallelism is bit-identical to the serial
-  // loop. Double accumulators keep mean/var stable for wide rows.
-  const bool avx2 = simd::UseAvx2();
-  ParallelFor(0, rows, GrainForCost(cols), [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      const float* src = a.RowPtr(r);
-      double mean = 0.0;
-      double var = 0.0;
-      if (avx2) {
-        mean = simd::SumF64(src, cols) / static_cast<double>(cols);
-        var = simd::SumSqDiffF64(src, mean, cols) /
-              static_cast<double>(cols);
-      } else {
-        for (size_t c = 0; c < cols; ++c) mean += src[c];
-        mean /= static_cast<double>(cols);
-        for (size_t c = 0; c < cols; ++c) {
-          double d = src[c] - mean;
-          var += d * d;
-        }
-        var /= static_cast<double>(cols);
-      }
-      float inv = 1.0f / std::sqrt(static_cast<float>(var) + epsilon);
-      if (inv_std != nullptr) (*inv_std)[r] = inv;
-      float* dst = out->RowPtr(r);
-      if (avx2) {
-        simd::SubMulF32(dst, src, static_cast<float>(mean), inv, cols);
-      } else {
-        for (size_t c = 0; c < cols; ++c) {
-          dst[c] = (src[c] - static_cast<float>(mean)) * inv;
-        }
-      }
-    }
-  });
-}
-
 void RowNormsInto(Matrix* out, const Matrix& a, float epsilon) {
   AHNTP_CHECK(out != &a) << "RowNormsInto cannot alias its input";
   out->ResetShape(a.rows(), 1);

@@ -60,12 +60,6 @@ void MulColBroadcastInto(Matrix* out, const Matrix& a, const Matrix& col);
 /// Multiplies every row of `a` elementwise by `row` (1 x cols).
 void MulRowBroadcastInto(Matrix* out, const Matrix& a, const Matrix& row);
 
-/// Normalizes each row to zero mean / unit variance. When `inv_std` is
-/// non-null it receives the per-row 1/std factors (the tape's backward
-/// cache). `out` must not alias `a`.
-void RowStandardizeInto(Matrix* out, const Matrix& a, float epsilon,
-                        std::vector<float>* inv_std = nullptr);
-
 /// Per-row L2 norms (sqrt(sum sq + epsilon)) as a rows x 1 matrix.
 void RowNormsInto(Matrix* out, const Matrix& a, float epsilon);
 

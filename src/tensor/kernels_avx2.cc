@@ -410,18 +410,6 @@ void SqrtMaxF32(float* o, const float* a, float eps, size_t n) {
   }
 }
 
-void SubMulF32(float* o, const float* a, float sub, float mul, size_t n) {
-  const __m256 vsub = _mm256_set1_ps(sub);
-  const __m256 vmul = _mm256_set1_ps(mul);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 x = _mm256_loadu_ps(a + i);
-    _mm256_storeu_ps(o + i,
-                     _mm256_mul_ps(_mm256_sub_ps(x, vsub), vmul));
-  }
-  for (; i < n; ++i) o[i] = (a[i] - sub) * mul;
-}
-
 void AxpyF32(float* o, const float* x, float a, size_t n) {
   AxpyBody(o, x, a, n);
 }
@@ -459,23 +447,6 @@ double SumSqF64(const float* a, size_t n) {
   }
   double sum = HSum(acc);
   for (; i < n; ++i) sum += static_cast<double>(a[i]) * a[i];
-  return sum;
-}
-
-double SumSqDiffF64(const float* a, double mean, size_t n) {
-  const __m256d vmean = _mm256_set1_pd(mean);
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d d =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)), vmean);
-    acc = _mm256_fmadd_pd(d, d, acc);
-  }
-  double sum = HSum(acc);
-  for (; i < n; ++i) {
-    double d = static_cast<double>(a[i]) - mean;
-    sum += d * d;
-  }
   return sum;
 }
 
@@ -633,12 +604,10 @@ void LeakyReluF32(float*, const float*, float, size_t) { NoAvx2(); }
 void ClampF32(float*, const float*, float, float, size_t) { NoAvx2(); }
 void AbsF32(float*, const float*, size_t) { NoAvx2(); }
 void SqrtMaxF32(float*, const float*, float, size_t) { NoAvx2(); }
-void SubMulF32(float*, const float*, float, float, size_t) { NoAvx2(); }
 void AxpyF32(float*, const float*, float, size_t) { NoAvx2(); }
 double DotF64(const float*, const float*, size_t) { NoAvx2(); }
 double SumF64(const float*, size_t) { NoAvx2(); }
 double SumSqF64(const float*, size_t) { NoAvx2(); }
-double SumSqDiffF64(const float*, double, size_t) { NoAvx2(); }
 void MatMulBandNN(const float*, const float*, float*, size_t, size_t, size_t,
                   size_t, size_t) {
   NoAvx2();

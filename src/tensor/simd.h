@@ -47,9 +47,6 @@ void ClampF32(float* o, const float* a, float lo, float hi, size_t n);
 void AbsF32(float* o, const float* a, size_t n);
 /// out = sqrt(max(a, eps)); _mm256_sqrt_ps is IEEE-exact.
 void SqrtMaxF32(float* o, const float* a, float eps, size_t n);
-/// out = (a - sub) * mul, two separately rounded passes like the scalar
-/// RowStandardize normalization loop.
-void SubMulF32(float* o, const float* a, float sub, float mul, size_t n);
 
 // --- fma tier -------------------------------------------------------------
 
@@ -64,8 +61,6 @@ void AxpyF32(float* o, const float* x, float a, size_t n);
 double DotF64(const float* a, const float* b, size_t n);
 double SumF64(const float* a, size_t n);
 double SumSqF64(const float* a, size_t n);
-/// sum over i of ((double)a[i] - mean)^2.
-double SumSqDiffF64(const float* a, double mean, size_t n);
 
 // The three GEMM bands share one per-element definition, whatever kernel
 // a shape picks, so the shape-aware kernels below are bitwise-identical to

@@ -316,6 +316,13 @@ class CoreFixture {
     inputs_.rng = &rng_;
   }
   const models::ModelInputs& inputs() const { return inputs_; }
+  /// The inputs with `rng` in place of the fixture's shared stream, so an
+  /// encoder's initial weights do not depend on which tests ran before.
+  models::ModelInputs inputs(Rng* rng) const {
+    models::ModelInputs copy = inputs_;
+    copy.rng = rng;
+    return copy;
+  }
   const data::SocialDataset& dataset() const { return dataset_; }
   const data::TrustSplit& split() const { return split_; }
   Rng* rng() { return &rng_; }
@@ -434,7 +441,7 @@ TEST(AhntpModelTest, ExplainUserRequiresAttention) {
 TEST(TrainerTest, LossDecreases) {
   CoreFixture& fixture = Fixture();
   Rng rng(21);
-  auto spec = CreateEncoder("AHNTP", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("AHNTP", fixture.inputs(&rng), AhntpConfig{});
   ASSERT_TRUE(spec.ok());
   models::TrustPredictor predictor(spec->encoder,
                                    models::TrustPredictorConfig{}, &rng);
@@ -456,12 +463,7 @@ TEST(TrainerTest, WarmFullBatchEpochsNeverMissTheBufferCache) {
   auto misses_after = [](int epochs) {
     CoreFixture& fixture = Fixture();
     Rng rng(24);
-    // Its own Rng for the encoder too, so both fits start from the same
-    // weights and the fixture's stream stays where later tests expect it.
-    Rng init_rng(25);
-    models::ModelInputs inputs = fixture.inputs();
-    inputs.rng = &init_rng;
-    auto spec = CreateEncoder("AHNTP", inputs, AhntpConfig{});
+    auto spec = CreateEncoder("AHNTP", fixture.inputs(&rng), AhntpConfig{});
     EXPECT_TRUE(spec.ok());
     models::TrustPredictor predictor(spec->encoder,
                                      models::TrustPredictorConfig{}, &rng);
@@ -488,7 +490,7 @@ TEST(TrainerTest, WarmFullBatchEpochsNeverMissTheBufferCache) {
 TEST(TrainerTest, ContrastiveTermReportedOnlyWhenEnabled) {
   CoreFixture& fixture = Fixture();
   Rng rng(22);
-  auto spec = CreateEncoder("AHNTP", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("AHNTP", fixture.inputs(&rng), AhntpConfig{});
   models::TrustPredictor predictor(spec->encoder,
                                    models::TrustPredictorConfig{}, &rng);
   TrainerConfig config;
@@ -503,7 +505,7 @@ TEST(TrainerTest, ContrastiveTermReportedOnlyWhenEnabled) {
 TEST(TrainerTest, MiniBatchesMatchFullBatchEpochStructure) {
   CoreFixture& fixture = Fixture();
   Rng rng(23);
-  auto spec = CreateEncoder("SGC", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("SGC", fixture.inputs(&rng), AhntpConfig{});
   models::TrustPredictor predictor(spec->encoder,
                                    models::TrustPredictorConfig{}, &rng);
   TrainerConfig config;
@@ -518,7 +520,7 @@ TEST(TrainerTest, MiniBatchesMatchFullBatchEpochStructure) {
 TEST(TrainerTest, EarlyStoppingStopsAndRestores) {
   CoreFixture& fixture = Fixture();
   Rng rng(25);
-  auto spec = CreateEncoder("SGC", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("SGC", fixture.inputs(&rng), AhntpConfig{});
   models::TrustPredictor predictor(spec->encoder,
                                    models::TrustPredictorConfig{}, &rng);
   TrainerConfig config;
@@ -543,7 +545,7 @@ TEST(TrainerTest, EarlyStoppingStopsAndRestores) {
 TEST(TrainerTest, NoValidationMeansNoEarlyStop) {
   CoreFixture& fixture = Fixture();
   Rng rng(26);
-  auto spec = CreateEncoder("SGC", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("SGC", fixture.inputs(&rng), AhntpConfig{});
   models::TrustPredictor predictor(spec->encoder,
                                    models::TrustPredictorConfig{}, &rng);
   TrainerConfig config;
@@ -559,7 +561,7 @@ TEST(TrainerTest, NoValidationMeansNoEarlyStop) {
 TEST(TrainerTest, RegularizerPathRuns) {
   CoreFixture& fixture = Fixture();
   Rng rng(24);
-  auto spec = CreateEncoder("AHNTP", fixture.inputs(), AhntpConfig{});
+  auto spec = CreateEncoder("AHNTP", fixture.inputs(&rng), AhntpConfig{});
   auto* ahntp = dynamic_cast<AhntpModel*>(spec->encoder.get());
   ASSERT_NE(ahntp, nullptr);
   models::TrustPredictor predictor(spec->encoder,

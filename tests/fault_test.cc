@@ -539,7 +539,11 @@ TEST_F(FaultTest, InterruptedSweepResumesBitIdentical) {
   EXPECT_EQ(resumed->f1.stddev, reference->f1.stddev);
   EXPECT_EQ(resumed->auc.mean, reference->auc.mean);
   EXPECT_EQ(resumed->auc.stddev, reference->auc.stddev);
-  EXPECT_EQ(resumed->last.threshold, reference->last.threshold);
+  ASSERT_EQ(resumed->runs.size(), reference->runs.size());
+  for (size_t i = 0; i < resumed->runs.size(); ++i) {
+    EXPECT_EQ(resumed->runs[i].threshold, reference->runs[i].threshold)
+        << "run " << i;
+  }
   std::filesystem::remove(state);
 }
 

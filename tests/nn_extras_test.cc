@@ -1,4 +1,5 @@
-// Tests for serialization, LR schedules, gradient clipping, and LayerNorm.
+// Tests for serialization, LR schedules, gradient clipping, and the extra
+// autograd ops.
 
 #include <cmath>
 #include <cstdio>
@@ -6,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/layer_norm.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "nn/scheduler.h"
@@ -189,57 +189,6 @@ TEST(ClipTest, GlobalNormSpansParameters) {
 }
 
 // ---------------------------------------------------------------------------
-// LayerNorm
-// ---------------------------------------------------------------------------
-
-TEST(LayerNormTest, DefaultParamsStandardizeRows) {
-  Rng rng(8);
-  LayerNorm norm(6);
-  Variable x = autograd::Constant(Matrix::Randn(4, 6, &rng, 3.0f, 2.0f));
-  Variable y = norm.Forward(x);
-  for (size_t r = 0; r < 4; ++r) {
-    double mean = 0.0, var = 0.0;
-    for (size_t c = 0; c < 6; ++c) mean += y.value().At(r, c);
-    mean /= 6.0;
-    for (size_t c = 0; c < 6; ++c) {
-      double d = y.value().At(r, c) - mean;
-      var += d * d;
-    }
-    var /= 6.0;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(LayerNormTest, GainAndBiasApplied) {
-  LayerNorm norm(2);
-  auto params = norm.Parameters();
-  params[0].mutable_value().Fill(2.0f);  // gain
-  params[1].mutable_value().Fill(1.0f);  // bias
-  Variable x = autograd::Constant(Matrix::FromRows({{-1.0f, 1.0f}}));
-  Variable y = norm.Forward(x);
-  // Standardized row is (-1, 1); y = 2*std + 1 = (-1, 3).
-  EXPECT_NEAR(y.value().At(0, 0), -1.0f, 1e-4f);
-  EXPECT_NEAR(y.value().At(0, 1), 3.0f, 1e-4f);
-}
-
-TEST(LayerNormTest, GradientCheck) {
-  Rng rng(9);
-  LayerNorm norm(3);
-  Matrix x = Matrix::Randn(4, 3, &rng);
-  ahntp::testing::ExpectGradientsClose(
-      [&norm, &x](const std::vector<Variable>&) {
-        Variable y = norm.Forward(autograd::Constant(x));
-        Matrix w(4, 3);
-        for (size_t i = 0; i < w.size(); ++i) {
-          w.data()[i] = static_cast<float>((i * 13) % 7) - 3.0f;
-        }
-        return autograd::ReduceSum(autograd::MulConst(y, w));
-      },
-      norm.Parameters());
-}
-
-// ---------------------------------------------------------------------------
 // New autograd ops
 // ---------------------------------------------------------------------------
 
@@ -254,21 +203,6 @@ TEST(GradCheckExtras, SqrtAbsPow) {
                           autograd::PowScalar(p[0], 1.7f))));
       },
       {autograd::Parameter(positive)});
-}
-
-TEST(GradCheckExtras, RowStandardize) {
-  Rng rng(11);
-  Matrix x = Matrix::Randn(3, 5, &rng);
-  ahntp::testing::ExpectGradientsClose(
-      [](const std::vector<Variable>& p) {
-        Variable y = autograd::RowStandardize(p[0]);
-        Matrix w(3, 5);
-        for (size_t i = 0; i < w.size(); ++i) {
-          w.data()[i] = static_cast<float>((i * 5) % 4) - 1.5f;
-        }
-        return autograd::ReduceSum(autograd::MulConst(y, w));
-      },
-      {autograd::Parameter(x)});
 }
 
 TEST(AbsTest, ValuesNonNegative) {
